@@ -41,6 +41,15 @@ ServingResult
 ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
 {
   TETRI_CHECK(scheduler != nullptr);
+  // Trace contract: ordered by arrival. The first round tick anchors at
+  // front().arrival_us and the arrival cursor below only moves forward.
+  TETRI_CHECK_MSG(
+      std::is_sorted(trace.requests.begin(), trace.requests.end(),
+                     [](const workload::TraceRequest& a,
+                        const workload::TraceRequest& b) {
+                       return a.arrival_us < b.arrival_us;
+                     }),
+      "trace requests are not ordered by arrival");
 
   sim::Simulator simulator;
   RequestTracker tracker;
@@ -192,19 +201,24 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
   }
 
   std::function<void()> round_tick;
+  std::size_t arrival_cursor = 0;
   if (round_based) {
     // Fixed round grid; re-anchored to the next arrival when idle so
-    // an empty system does not spin.
+    // an empty system does not spin. An arrival event fires before any
+    // tick at its timestamp (lower seq), so the requests at or before
+    // `now` are exactly the admitted ones: the cursor skips past them
+    // and lands on the next arrival without a tracker lookup.
     round_tick = [&]() {
       invoke_scheduler();
       const TimeUs now = simulator.Now();
-      TimeUs next_arrival = -1;
-      for (const auto& req : trace.requests) {
-        if (req.arrival_us > now && !tracker.Contains(req.id)) {
-          next_arrival = req.arrival_us;
-          break;
-        }
+      while (arrival_cursor < trace.requests.size() &&
+             trace.requests[arrival_cursor].arrival_us <= now) {
+        ++arrival_cursor;
       }
+      const TimeUs next_arrival =
+          arrival_cursor < trace.requests.size()
+              ? trace.requests[arrival_cursor].arrival_us
+              : -1;
       if (tracker.NumActive() > 0) {
         simulator.ScheduleAt(now + tau, round_tick);
       } else if (next_arrival >= 0) {

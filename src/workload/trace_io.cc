@@ -1,7 +1,9 @@
 #include "workload/trace_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 
 #include "util/check.h"
 
@@ -22,12 +24,30 @@ QuoteCsv(const std::string& text)
 }
 
 costmodel::Resolution
-ResolutionFromName(const std::string& name)
+ResolutionFromName(const std::string& name, int line)
 {
   for (costmodel::Resolution res : costmodel::kAllResolutions) {
     if (costmodel::ResolutionName(res) == name) return res;
   }
-  TETRI_FATAL("unknown resolution '" << name << "' in trace CSV");
+  TETRI_FATAL("trace CSV line " << line << ": unknown resolution '"
+                                << name << "'");
+}
+
+/** Parse a whole field as an in-range decimal integer, or fail naming
+ * the line. */
+template <typename Int>
+Int
+IntegerField(const std::string& text, const char* column, int line)
+{
+  Int value{};
+  const char* first = text.data();
+  const char* last = first + text.size();
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (text.empty() || ec != std::errc() || end != last) {
+    TETRI_FATAL("trace CSV line " << line << ": " << column << " '"
+                                  << text << "' is not a valid integer");
+  }
+  return value;
 }
 
 /** Split one CSV line honoring quoted fields. */
@@ -83,8 +103,11 @@ TraceFromCsv(const std::string& csv)
   trace.mix_name = "FromCsv";
   std::istringstream iss(csv);
   std::string line;
+  std::unordered_set<RequestId> ids;
+  int line_no = 0;
   bool header = true;
   while (std::getline(iss, line)) {
+    ++line_no;
     if (line.empty()) continue;
     if (header) {
       header = false;
@@ -92,19 +115,33 @@ TraceFromCsv(const std::string& csv)
     }
     auto fields = SplitCsvLine(line);
     if (fields.size() != 6) {
-      TETRI_FATAL("trace CSV row has " << fields.size()
-                                       << " fields, expected 6");
+      TETRI_FATAL("trace CSV line " << line_no << ": row has "
+                                    << fields.size()
+                                    << " fields, expected 6");
     }
     TraceRequest req;
-    req.id = std::stoll(fields[0]);
-    req.arrival_us = std::stoll(fields[1]);
-    req.deadline_us = std::stoll(fields[2]);
-    req.resolution = ResolutionFromName(fields[3]);
-    req.num_steps = std::stoi(fields[4]);
+    req.id = IntegerField<RequestId>(fields[0], "id", line_no);
+    req.arrival_us = IntegerField<TimeUs>(fields[1], "arrival_us", line_no);
+    req.deadline_us =
+        IntegerField<TimeUs>(fields[2], "deadline_us", line_no);
+    req.resolution = ResolutionFromName(fields[3], line_no);
+    req.num_steps = IntegerField<int>(fields[4], "num_steps", line_no);
     req.prompt = fields[5];
     if (req.num_steps <= 0 || req.deadline_us <= req.arrival_us) {
-      TETRI_FATAL("trace CSV row for id " << req.id
-                                          << " is inconsistent");
+      TETRI_FATAL("trace CSV line " << line_no << ": row for id "
+                                    << req.id << " is inconsistent");
+    }
+    if (!ids.insert(req.id).second) {
+      TETRI_FATAL("trace CSV line " << line_no << ": duplicate request id "
+                                    << req.id);
+    }
+    if (!trace.requests.empty() &&
+        req.arrival_us < trace.requests.back().arrival_us) {
+      TETRI_FATAL("trace CSV line "
+                  << line_no << ": arrival_us " << req.arrival_us
+                  << " is earlier than the previous row's "
+                  << trace.requests.back().arrival_us
+                  << " (a trace is ordered by arrival)");
     }
     trace.requests.push_back(std::move(req));
   }

@@ -23,7 +23,10 @@ std::string TraceToCsv(const Trace& trace);
 
 /**
  * Parse a trace from CSV text produced by TraceToCsv (or compatible).
- * Fatal on malformed input (user error).
+ * Fatal on malformed input (user error), naming the offending line: a
+ * wrong field count, a numeric field that is not a valid integer, an
+ * unknown resolution, an inconsistent row, a duplicate id, or an
+ * arrival earlier than the previous row's.
  */
 Trace TraceFromCsv(const std::string& csv);
 

@@ -421,5 +421,22 @@ TEST(ServingSystemTest, NegativeBudgetDropsAtArrivalNotBefore)
   EXPECT_EQ(drops[0].time_us, 100);  // at arrival, not before
 }
 
+TEST(ServingSystemDeathTest, TraceNotOrderedByArrivalPanics)
+{
+  // An unsorted trace used to anchor the first round tick at
+  // front().arrival_us, silently skipping the ticks of earlier
+  // arrivals; Run now rejects it up front.
+  auto model = ModelConfig::FluxDev();
+  auto topo = Topology::H100Node();
+  ServingSystem system(&topo, &model);
+  workload::Trace trace;
+  trace.requests.push_back(
+      MakeRequest(0, Resolution::k256, 500, 10'000'000));
+  trace.requests.push_back(
+      MakeRequest(1, Resolution::k256, 100, 10'000'000));
+  baselines::FixedSpScheduler sched(1);
+  EXPECT_DEATH(system.Run(&sched, trace), "not ordered by arrival");
+}
+
 }  // namespace
 }  // namespace tetri::serving

@@ -83,6 +83,29 @@ TEST(EventQueueTest, TieBreakPropertyUnderRandomizedInterleaving)
   }
 }
 
+TEST(EventQueueTest, InOrderRunAndHeapMergeByTimeThenSeq)
+{
+  // Pushes in time order go to the FIFO run, later out-of-order pushes
+  // to the heap; equal times must still fire in insertion order across
+  // the two.
+  EventQueue q;
+  std::vector<int> fired;
+  auto tag = [&fired](int t) { return [&fired, t]() { fired.push_back(t); }; };
+  q.Push(10, tag(0));  // run
+  q.Push(20, tag(1));  // run
+  q.Push(30, tag(2));  // run
+  auto [t0, f0] = q.Pop();
+  EXPECT_EQ(t0, 10);
+  f0();
+  q.Push(20, tag(3));  // heap: earlier than the run's tail
+  q.Push(15, tag(4));  // heap
+  q.Push(30, tag(5));  // run: ties the tail, later seq
+  EXPECT_EQ(q.NextTime(), 15);
+  EXPECT_EQ(q.size(), 5u);
+  while (!q.empty()) q.Pop().second();
+  EXPECT_EQ(fired, (std::vector<int>{0, 4, 1, 3, 2, 5}));
+}
+
 TEST(EventQueueTest, NextTimeReportsEarliest)
 {
   EventQueue q;

@@ -94,5 +94,49 @@ TEST(TraceIoDeathTest, InconsistentDeadlineIsFatal)
       "inconsistent");
 }
 
+TEST(TraceIoDeathTest, NonNumericFieldIsFatalAndNamesTheLine)
+{
+  EXPECT_DEATH(
+      TraceFromCsv("id,arrival_us,deadline_us,resolution,num_steps,"
+                   "prompt\n1,0,100,256x256,5,\"p\"\n"
+                   "2,1O,100,256x256,5,\"p\"\n"),
+      "line 3: arrival_us '1O' is not a valid integer");
+}
+
+TEST(TraceIoDeathTest, OutOfRangeStepCountIsFatal)
+{
+  EXPECT_DEATH(
+      TraceFromCsv("id,arrival_us,deadline_us,resolution,num_steps,"
+                   "prompt\n1,0,100,256x256,99999999999,\"p\"\n"),
+      "line 2: num_steps '99999999999' is not a valid integer");
+}
+
+TEST(TraceIoDeathTest, OutOfOrderArrivalIsFatal)
+{
+  EXPECT_DEATH(
+      TraceFromCsv("id,arrival_us,deadline_us,resolution,num_steps,"
+                   "prompt\n1,50,100,256x256,5,\"p\"\n"
+                   "2,40,100,256x256,5,\"p\"\n"),
+      "line 3: arrival_us 40 is earlier than the previous row's 50");
+}
+
+TEST(TraceIoDeathTest, DuplicateIdIsFatal)
+{
+  EXPECT_DEATH(
+      TraceFromCsv("id,arrival_us,deadline_us,resolution,num_steps,"
+                   "prompt\n7,0,100,256x256,5,\"p\"\n"
+                   "7,10,100,256x256,5,\"p\"\n"),
+      "line 3: duplicate request id 7");
+}
+
+TEST(TraceIoTest, EqualArrivalsAreInOrder)
+{
+  auto trace =
+      TraceFromCsv("id,arrival_us,deadline_us,resolution,num_steps,"
+                   "prompt\n1,10,100,256x256,5,\"p\"\n"
+                   "2,10,100,256x256,5,\"p\"\n");
+  EXPECT_EQ(trace.requests.size(), 2u);
+}
+
 }  // namespace
 }  // namespace tetri::workload

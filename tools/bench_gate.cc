@@ -15,6 +15,13 @@
  * show at least --churn-min-speedup p50 speedup over from-scratch
  * replanning. Reports without the block skip the check.
  *
+ * When the current report carries a "scaling" block (produced by
+ * `bench_e2e_scaling`), the gate enforces a linear serving loop: the
+ * per-request wall cost at the largest trace length may be at most
+ * kScalingMaxRatio (1.5) times the cost at the smallest. A scaling
+ * report needs no "configs" array; the geomean check then does not
+ * apply.
+ *
  * Usage:
  *   bench_gate <baseline.json> <current.json>
  *              [--threshold=1.20] [--churn-min-speedup=5.0]
@@ -39,6 +46,10 @@
 
 namespace {
 
+/** Largest allowed per-request cost growth from the smallest to the
+ * largest trace length of a bench_e2e_scaling report. */
+constexpr double kScalingMaxRatio = 1.5;
+
 struct Config {
   int queue_depth = 0;
   int num_gpus = 0;
@@ -61,11 +72,17 @@ struct ChurnRow {
   double memo_hit_frac = 0.0;
 };
 
+struct ScalingRow {
+  int num_requests = 0;
+  double us_per_request = 0.0;
+};
+
 struct Report {
   std::string mode;
   std::vector<Config> configs;
   std::vector<PackerRow> packers;  // optional "packers" block
   std::vector<ChurnRow> churn;     // optional "churn" block
+  std::vector<ScalingRow> scaling;  // optional "scaling" block
 };
 
 /** Extract the number following "<key>": in @p obj, or NAN. */
@@ -92,9 +109,37 @@ StringField(const std::string& obj, const std::string& key)
 }
 
 /**
+ * Every flat {...} object inside the array that follows "<key>" in
+ * @p text; empty when the key is absent.
+ */
+std::vector<std::string>
+ArrayObjects(const std::string& text, const std::string& key)
+{
+  std::vector<std::string> objects;
+  const auto key_pos = text.find("\"" + key + "\"");
+  if (key_pos == std::string::npos) return objects;
+  const auto open = text.find('[', key_pos);
+  const auto close = text.find(']', key_pos);
+  if (open == std::string::npos || close == std::string::npos) {
+    return objects;
+  }
+  std::size_t pos = open;
+  while (true) {
+    const auto obj_open = text.find('{', pos);
+    if (obj_open == std::string::npos || obj_open > close) break;
+    const auto obj_close = text.find('}', obj_open);
+    if (obj_close == std::string::npos) break;
+    objects.push_back(text.substr(obj_open, obj_close - obj_open + 1));
+    pos = obj_close + 1;
+  }
+  return objects;
+}
+
+/**
  * Minimal parse of the bench_micro_scheduler JSON shape: pull the
  * "mode" string and every {...} object inside the "configs" array
- * (plus the optional "packers" array, when present).
+ * (plus the optional "churn" and "packers" arrays, when present), or
+ * the bench_e2e_scaling shape with its "scaling" array.
  * Deliberately not a general JSON parser — the producer is ours and
  * writes flat objects with no nested braces inside configs.
  */
@@ -119,27 +164,7 @@ ParseReport(const std::string& path, Report* out)
     }
   }
 
-  const auto configs_pos = text.find("\"configs\"");
-  if (configs_pos == std::string::npos) {
-    std::cerr << "bench_gate: no \"configs\" array in '" << path
-              << "'\n";
-    return false;
-  }
-  const auto open = text.find('[', configs_pos);
-  const auto close = text.find(']', configs_pos);
-  if (open == std::string::npos || close == std::string::npos) {
-    std::cerr << "bench_gate: malformed \"configs\" array in '" << path
-              << "'\n";
-    return false;
-  }
-  std::size_t pos = open;
-  while (true) {
-    const auto obj_open = text.find('{', pos);
-    if (obj_open == std::string::npos || obj_open > close) break;
-    const auto obj_close = text.find('}', obj_open);
-    if (obj_close == std::string::npos) break;
-    const std::string obj =
-        text.substr(obj_open, obj_close - obj_open + 1);
+  for (const std::string& obj : ArrayObjects(text, "configs")) {
     Config c;
     c.queue_depth = static_cast<int>(NumberField(obj, "queue_depth"));
     c.num_gpus = static_cast<int>(NumberField(obj, "num_gpus"));
@@ -149,75 +174,124 @@ ParseReport(const std::string& path, Report* out)
         std::isfinite(c.fast_p50_us)) {
       out->configs.push_back(c);
     }
-    pos = obj_close + 1;
-  }
-  if (out->configs.empty()) {
-    std::cerr << "bench_gate: no configs parsed from '" << path
-              << "'\n";
-    return false;
   }
 
   // Optional churn block (bench_micro_scheduler --churn): incremental
   // vs from-scratch replanning under single-request churn. Older
   // reports predate it, so absence is not an error.
-  const auto churn_pos = text.find("\"churn\"", close);
-  if (churn_pos != std::string::npos) {
-    const auto copen = text.find('[', churn_pos);
-    const auto cclose = text.find(']', churn_pos);
-    if (copen != std::string::npos && cclose != std::string::npos) {
-      std::size_t cpos = copen;
-      while (true) {
-        const auto obj_open = text.find('{', cpos);
-        if (obj_open == std::string::npos || obj_open > cclose) break;
-        const auto obj_close = text.find('}', obj_open);
-        if (obj_close == std::string::npos) break;
-        const std::string obj =
-            text.substr(obj_open, obj_close - obj_open + 1);
-        ChurnRow row;
-        row.queue_depth =
-            static_cast<int>(NumberField(obj, "queue_depth"));
-        row.num_gpus = static_cast<int>(NumberField(obj, "num_gpus"));
-        row.inc_p50_us = NumberField(obj, "inc_p50_us");
-        row.speedup_p50 = NumberField(obj, "speedup_p50");
-        row.memo_hit_frac = NumberField(obj, "memo_hit_frac");
-        if (row.queue_depth > 0 && row.num_gpus > 0 &&
-            std::isfinite(row.speedup_p50)) {
-          out->churn.push_back(row);
-        }
-        cpos = obj_close + 1;
-      }
+  for (const std::string& obj : ArrayObjects(text, "churn")) {
+    ChurnRow row;
+    row.queue_depth = static_cast<int>(NumberField(obj, "queue_depth"));
+    row.num_gpus = static_cast<int>(NumberField(obj, "num_gpus"));
+    row.inc_p50_us = NumberField(obj, "inc_p50_us");
+    row.speedup_p50 = NumberField(obj, "speedup_p50");
+    row.memo_hit_frac = NumberField(obj, "memo_hit_frac");
+    if (row.queue_depth > 0 && row.num_gpus > 0 &&
+        std::isfinite(row.speedup_p50)) {
+      out->churn.push_back(row);
     }
   }
 
   // Optional packer-matrix block (bench_micro_scheduler --packers).
   // Older reports predate it, so absence is not an error.
-  const auto packers_pos = text.find("\"packers\"", close);
-  if (packers_pos != std::string::npos) {
-    const auto popen = text.find('[', packers_pos);
-    const auto pclose = text.find(']', packers_pos);
-    if (popen != std::string::npos && pclose != std::string::npos) {
-      std::size_t ppos = popen;
-      while (true) {
-        const auto obj_open = text.find('{', ppos);
-        if (obj_open == std::string::npos || obj_open > pclose) break;
-        const auto obj_close = text.find('}', obj_open);
-        if (obj_close == std::string::npos) break;
-        const std::string obj =
-            text.substr(obj_open, obj_close - obj_open + 1);
-        PackerRow row;
-        row.packer = StringField(obj, "packer");
-        row.plan_p50_us = NumberField(obj, "plan_p50_us");
-        row.frag_met = static_cast<int>(NumberField(obj, "frag_met"));
-        row.frag_total =
-            static_cast<int>(NumberField(obj, "frag_total"));
-        if (!row.packer.empty() && std::isfinite(row.plan_p50_us)) {
-          out->packers.push_back(row);
-        }
-        ppos = obj_close + 1;
-      }
+  for (const std::string& obj : ArrayObjects(text, "packers")) {
+    PackerRow row;
+    row.packer = StringField(obj, "packer");
+    row.plan_p50_us = NumberField(obj, "plan_p50_us");
+    row.frag_met = static_cast<int>(NumberField(obj, "frag_met"));
+    row.frag_total = static_cast<int>(NumberField(obj, "frag_total"));
+    if (!row.packer.empty() && std::isfinite(row.plan_p50_us)) {
+      out->packers.push_back(row);
     }
   }
+
+  // Scaling block (bench_e2e_scaling): such a report carries no
+  // configs array.
+  for (const std::string& obj : ArrayObjects(text, "scaling")) {
+    ScalingRow row;
+    row.num_requests = static_cast<int>(NumberField(obj, "num_requests"));
+    row.us_per_request = NumberField(obj, "us_per_request");
+    if (row.num_requests > 0 && row.us_per_request > 0) {
+      out->scaling.push_back(row);
+    }
+  }
+
+  if (out->configs.empty() && out->scaling.empty()) {
+    std::cerr << "bench_gate: no configs or scaling rows parsed from '"
+              << path << "'\n";
+    return false;
+  }
   return true;
+}
+
+/**
+ * Idempotent append: a re-run with the same label (same commit)
+ * replaces its own entry instead of duplicating it, so CI retries and
+ * local reruns keep the trajectory one-line-per-label. @p fields is the
+ * record's JSON members after "label" and "mode".
+ */
+bool
+AppendTrajectory(const std::string& path, const std::string& label,
+                 const std::string& mode, const std::string& fields)
+{
+  const std::string label_key = "\"label\": \"" + label + "\"";
+  std::vector<std::string> kept;
+  bool replaced = false;
+  {
+    std::ifstream in(path);
+    std::string existing;
+    while (std::getline(in, existing)) {
+      if (existing.find(label_key) != std::string::npos) {
+        replaced = true;
+        continue;
+      }
+      if (!existing.empty()) kept.push_back(existing);
+    }
+  }
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) {
+    std::cerr << "bench_gate: cannot write '" << path << "'\n";
+    return false;
+  }
+  for (const std::string& existing : kept) out << existing << "\n";
+  out << "{" << label_key << ", \"mode\": \"" << mode << "\", " << fields
+      << "}\n";
+  std::printf("bench_gate: %s '%s' in %s\n",
+              replaced ? "replaced" : "appended", label.c_str(),
+              path.c_str());
+  return true;
+}
+
+/**
+ * Print the scaling rows (with the baseline's cost at the same N when
+ * it has one) and return the per-request cost at the largest N over
+ * the cost at the smallest.
+ */
+double
+ScalingCostRatio(const Report& baseline, const Report& current)
+{
+  std::map<int, double> base_cost;
+  for (const ScalingRow& row : baseline.scaling) {
+    base_cost[row.num_requests] = row.us_per_request;
+  }
+  std::printf("%10s %14s %14s %8s\n", "requests", "base_us_req",
+              "cur_us_req", "vs_base");
+  const ScalingRow* smallest = &current.scaling.front();
+  const ScalingRow* largest = &current.scaling.front();
+  for (const ScalingRow& row : current.scaling) {
+    const auto it = base_cost.find(row.num_requests);
+    if (it != base_cost.end()) {
+      std::printf("%10d %14.3f %14.3f %7.2fx\n", row.num_requests,
+                  it->second, row.us_per_request,
+                  row.us_per_request / it->second);
+    } else {
+      std::printf("%10d %14s %14.3f %8s\n", row.num_requests, "-",
+                  row.us_per_request, "-");
+    }
+    if (row.num_requests < smallest->num_requests) smallest = &row;
+    if (row.num_requests > largest->num_requests) largest = &row;
+  }
+  return largest->us_per_request / smallest->us_per_request;
 }
 
 int
@@ -274,6 +348,39 @@ main(int argc, char** argv)
   if (!ParseReport(baseline_path, &baseline) ||
       !ParseReport(current_path, &current)) {
     return 2;
+  }
+
+  // Scaling report (bench_e2e_scaling): the serving loop is linear when
+  // the per-request cost stays flat as the trace grows. The ratio is
+  // within one run, so machine speed cancels out of it.
+  if (!current.scaling.empty()) {
+    const double ratio = ScalingCostRatio(baseline, current);
+    const bool pass = ratio <= kScalingMaxRatio;
+    std::printf(
+        "bench_gate: per-request cost largest/smallest N %.3fx "
+        "(max %.2fx, current mode '%s')\n",
+        ratio, kScalingMaxRatio, current.mode.c_str());
+    if (!trajectory_path.empty()) {
+      char fields[160];
+      std::snprintf(fields, sizeof(fields),
+                    "\"scaling_cost_ratio\": %.4f, "
+                    "\"scaling_max_ratio\": %.2f, \"pass\": %s",
+                    ratio, kScalingMaxRatio, pass ? "true" : "false");
+      if (!AppendTrajectory(trajectory_path, label, current.mode,
+                            fields)) {
+        return 2;
+      }
+    }
+    if (!pass) {
+      std::cerr << "bench_gate: FAIL — per-request cost grows "
+                << std::fixed << ratio
+                << "x from the smallest to the largest trace\n";
+      return 1;
+    }
+    if (current.configs.empty()) {
+      std::printf("bench_gate: OK\n");
+      return 0;
+    }
   }
 
   std::map<std::pair<int, int>, Config> by_key;
@@ -376,42 +483,15 @@ main(int argc, char** argv)
   }
 
   if (!trajectory_path.empty()) {
-    // Idempotent append: a re-run with the same label (same commit)
-    // replaces its own entry instead of duplicating it, so CI retries
-    // and local reruns keep the trajectory one-line-per-label.
-    const std::string label_key = "\"label\": \"" + label + "\"";
-    std::vector<std::string> kept;
-    bool replaced = false;
-    {
-      std::ifstream in(trajectory_path);
-      std::string existing;
-      while (std::getline(in, existing)) {
-        if (existing.find(label_key) != std::string::npos) {
-          replaced = true;
-          continue;
-        }
-        if (!existing.empty()) kept.push_back(existing);
-      }
-    }
-    std::ofstream out(trajectory_path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "bench_gate: cannot write '" << trajectory_path
-                << "'\n";
+    char fields[256];
+    std::snprintf(fields, sizeof(fields),
+                  "\"configs\": %d, \"geomean_fast_p50_ratio\": %.4f, "
+                  "\"threshold\": %.2f, \"pass\": %s",
+                  matched, geomean, threshold,
+                  geomean <= threshold ? "true" : "false");
+    if (!AppendTrajectory(trajectory_path, label, current.mode, fields)) {
       return 2;
     }
-    for (const std::string& existing : kept) out << existing << "\n";
-    char line[512];
-    std::snprintf(line, sizeof(line),
-                  "{\"label\": \"%s\", \"mode\": \"%s\", "
-                  "\"configs\": %d, \"geomean_fast_p50_ratio\": %.4f, "
-                  "\"threshold\": %.2f, \"pass\": %s}",
-                  label.c_str(), current.mode.c_str(), matched,
-                  geomean, threshold,
-                  geomean <= threshold ? "true" : "false");
-    out << line << "\n";
-    std::printf("bench_gate: %s '%s' in %s\n",
-                replaced ? "replaced" : "appended", label.c_str(),
-                trajectory_path.c_str());
   }
 
   if (geomean > threshold) {
