@@ -33,7 +33,8 @@ inline GpuMask FullMask(int n) {
 /** True if @p k is a power of two (and > 0). */
 inline bool IsPow2(int k) { return k > 0 && (k & (k - 1)) == 0; }
 
-/** Indices of set bits, ascending. */
+/** Indices of set bits, ascending. Allocates: hot paths walk the
+ * mask's bits with std::countr_zero instead. */
 std::vector<int> GpuIndices(GpuMask mask);
 
 /** Lowest set GPU index; mask must be non-empty. */

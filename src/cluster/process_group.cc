@@ -1,5 +1,6 @@
 #include "cluster/process_group.h"
 
+#include <bit>
 #include <cmath>
 
 #include "util/check.h"
@@ -36,8 +37,8 @@ ProcessGroupCache::EnsureWarmLocked(GpuMask mask)
   auto it = warm_.find(mask);
   if (it != warm_.end()) return 0;
   warm_.emplace(mask, true);
-  for (int gpu : GpuIndices(mask)) {
-    buffer_mib_[gpu] += buffer_mib_per_gpu_;
+  for (GpuMask rest = mask; rest != 0; rest &= rest - 1) {
+    buffer_mib_[std::countr_zero(rest)] += buffer_mib_per_gpu_;
   }
   const TimeUs cost = WarmupCost(mask);
   total_warmup_us_ += cost;
@@ -71,8 +72,8 @@ ProcessGroupCache::Invalidate(GpuMask mask)
       ++it;
       continue;
     }
-    for (int gpu : GpuIndices(it->first)) {
-      buffer_mib_[gpu] -= buffer_mib_per_gpu_;
+    for (GpuMask rest = it->first; rest != 0; rest &= rest - 1) {
+      buffer_mib_[std::countr_zero(rest)] -= buffer_mib_per_gpu_;
     }
     it = warm_.erase(it);
     ++evicted;

@@ -1,5 +1,7 @@
 #include "cluster/topology.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -9,7 +11,6 @@ namespace tetri::cluster {
 
 namespace {
 
-constexpr double kSingleGpuBandwidth = 1e12;  // effectively infinite
 constexpr double kNvLink4Gbps = 900.0;        // H100 NVLink 4.0
 constexpr double kNvLink3Gbps = 112.0;        // A40 NVLink bridge
 constexpr double kPcie4Gbps = 25.0;           // PCIe 4.0 x16 effective
@@ -18,7 +19,7 @@ std::vector<std::vector<double>>
 UniformMatrix(int n, double gbps)
 {
   std::vector<std::vector<double>> m(n, std::vector<double>(n, gbps));
-  for (int i = 0; i < n; ++i) m[i][i] = kSingleGpuBandwidth;
+  for (int i = 0; i < n; ++i) m[i][i] = Topology::kSingleGpuBandwidth;
   return m;
 }
 
@@ -29,38 +30,63 @@ Topology::Topology(int num_gpus, GpuSpec gpu,
                    double base_latency_us, std::string name)
     : num_gpus_(num_gpus),
       gpu_(std::move(gpu)),
-      link_gbps_(std::move(link_gbps)),
       base_latency_us_(base_latency_us),
       name_(std::move(name)),
       nvlink_threshold_gbps_(50.0)
 {
   TETRI_CHECK(IsPow2(num_gpus_) && num_gpus_ <= 32);
-  TETRI_CHECK(link_gbps_.size() == static_cast<std::size_t>(num_gpus_));
-  for (const auto& row : link_gbps_) {
+  TETRI_CHECK(link_gbps.size() == static_cast<std::size_t>(num_gpus_));
+  link_gbps_.reserve(static_cast<std::size_t>(num_gpus_) * num_gpus_);
+  for (const auto& row : link_gbps) {
     TETRI_CHECK(row.size() == static_cast<std::size_t>(num_gpus_));
+    link_gbps_.insert(link_gbps_.end(), row.begin(), row.end());
   }
+  // A collective reads only the links above the diagonal (a < b), so
+  // those are the bandwidths a bottleneck can take.
+  for (int a = 0; a < num_gpus_; ++a) {
+    for (int b = a + 1; b < num_gpus_; ++b) {
+      link_classes_gbps_.push_back(link_gbps_[a * num_gpus_ + b]);
+    }
+  }
+  std::sort(link_classes_gbps_.begin(), link_classes_gbps_.end());
+  link_classes_gbps_.erase(
+      std::unique(link_classes_gbps_.begin(), link_classes_gbps_.end()),
+      link_classes_gbps_.end());
 }
 
 double
 Topology::LinkBandwidth(int a, int b) const
 {
   TETRI_CHECK(a >= 0 && a < num_gpus_ && b >= 0 && b < num_gpus_);
-  return link_gbps_[a][b];
+  return link_gbps_[a * num_gpus_ + b];
 }
 
 double
 Topology::CollectiveBandwidth(GpuMask mask) const
 {
-  const std::vector<int> gpus = GpuIndices(mask);
-  TETRI_CHECK(!gpus.empty());
-  if (gpus.size() == 1) return kSingleGpuBandwidth;
+  TETRI_CHECK(mask != 0);
+  TETRI_CHECK((mask & ~all_gpus()) == 0);
+  if (std::has_single_bit(mask)) return kSingleGpuBandwidth;
   double min_bw = std::numeric_limits<double>::max();
-  for (std::size_t i = 0; i < gpus.size(); ++i) {
-    for (std::size_t j = i + 1; j < gpus.size(); ++j) {
-      min_bw = std::min(min_bw, link_gbps_[gpus[i]][gpus[j]]);
+  for (GpuMask rest = mask; rest != 0;) {
+    const int a = std::countr_zero(rest);
+    rest &= rest - 1;
+    const double* row = &link_gbps_[a * num_gpus_];
+    for (GpuMask others = rest; others != 0; others &= others - 1) {
+      min_bw = std::min(min_bw, row[std::countr_zero(others)]);
     }
   }
   return min_bw;
+}
+
+int
+Topology::BottleneckClass(GpuMask mask) const
+{
+  const double bw = CollectiveBandwidth(mask);
+  if (std::has_single_bit(mask)) return NumBottleneckClasses() - 1;
+  const auto it = std::lower_bound(link_classes_gbps_.begin(),
+                                   link_classes_gbps_.end(), bw);
+  return static_cast<int>(it - link_classes_gbps_.begin());
 }
 
 double

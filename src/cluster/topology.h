@@ -55,25 +55,56 @@ class Topology {
   const std::string& name() const { return name_; }
   GpuMask all_gpus() const { return FullMask(num_gpus_); }
 
+  /**
+   * Bandwidth a one-GPU "collective" reports, GB/s: no link is
+   * crossed, so it is effectively infinite.
+   */
+  static constexpr double kSingleGpuBandwidth = 1e12;
+
   /** Bandwidth of the direct link between two distinct GPUs, GB/s. */
   double LinkBandwidth(int a, int b) const;
 
   /**
    * Effective per-GPU bandwidth for a collective spanning @p mask:
    * the minimum pairwise bandwidth inside the set (bottleneck link).
-   * Masks of size one return +inf semantics via a very large value.
+   * A one-GPU mask returns kSingleGpuBandwidth; an empty mask, or one
+   * naming GPUs outside the node, panics.
+   * O(k^2) in the mask's popcount k, walking set bits; no allocation.
    */
   double CollectiveBandwidth(GpuMask mask) const;
 
   /**
    * Fixed latency for one collective over @p mask, microseconds. Grows
    * logarithmically with the group size and is larger when the group
-   * spans a PCIe hop.
+   * spans a PCIe hop. One CollectiveBandwidth plus a log2; no
+   * allocation.
    */
   double CollectiveLatencyUs(GpuMask mask) const;
 
-  /** True if every link inside the mask is NVLink-class. */
+  /**
+   * True if every link inside the mask is NVLink-class: a threshold on
+   * CollectiveBandwidth, so it depends on the mask only through its
+   * bottleneck bandwidth. Same cost as CollectiveBandwidth.
+   */
   bool IsNvLinkOnly(GpuMask mask) const;
+
+  /**
+   * Number of bottleneck classes: one per distinct link bandwidth on
+   * the node, plus one for a single GPU. H100 has 2, A40 has 3.
+   */
+  int NumBottleneckClasses() const {
+    return static_cast<int>(link_classes_gbps_.size()) + 1;
+  }
+
+  /**
+   * Class of @p mask's bottleneck bandwidth: its index in the node's
+   * distinct link bandwidths sorted ascending (0 = slowest link), or
+   * NumBottleneckClasses() - 1 for a single GPU. Two masks with the
+   * same popcount and class have the same CollectiveBandwidth, hence
+   * the same collective latency and comm time. Same cost as
+   * CollectiveBandwidth plus a search over the few classes.
+   */
+  int BottleneckClass(GpuMask mask) const;
 
   /** Maximum sequence-parallel degree = node size. */
   int MaxDegree() const { return num_gpus_; }
@@ -90,7 +121,10 @@ class Topology {
  private:
   int num_gpus_;
   GpuSpec gpu_;
-  std::vector<std::vector<double>> link_gbps_;
+  /** Row-major num_gpus x num_gpus link bandwidths, GB/s. */
+  std::vector<double> link_gbps_;
+  /** Distinct link bandwidths above the diagonal, ascending. */
+  std::vector<double> link_classes_gbps_;
   double base_latency_us_;
   std::string name_;
   double nvlink_threshold_gbps_;

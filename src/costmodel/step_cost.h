@@ -71,16 +71,21 @@ class StepCostModel {
   const cluster::Topology& topology() const { return *topology_; }
   const StepCostParams& params() const { return params_; }
 
-  /** Occupancy (fraction of peak) for a per-GPU token count. */
+  /** Occupancy (fraction of peak) for a per-GPU token count. One
+   * std::pow. */
   double Occupancy(double tokens_per_gpu) const;
 
-  /** Pure compute time of one step, microseconds. */
+  /** Pure compute time of one step, microseconds. One Occupancy. */
   double ComputeTimeUs(Resolution res, int degree, int batch) const;
 
   /**
    * Communication time of one step over the given GPU set,
    * microseconds (Ulysses all-to-all, the engine default). @p mask
-   * must have exactly @p degree members.
+   * must have exactly @p degree members. Depends on the mask only
+   * through its popcount and its bottleneck bandwidth (the collective
+   * latency's PCIe penalty is a threshold on that bandwidth), which
+   * is what makes the engine's PlacementPriceTable key exact. Two
+   * CollectiveBandwidth bit walks and a log2; no allocation.
    */
   double CommTimeUs(Resolution res, int degree, int batch,
                     GpuMask mask) const;
@@ -100,11 +105,18 @@ class StepCostModel {
 
   /**
    * Total mean step time, microseconds, for the best-case (buddy
-   * aligned) placement of @p degree GPUs.
+   * aligned) placement of @p degree GPUs. Same cost as
+   * StepTimeOnMaskUs.
    */
   double StepTimeUs(Resolution res, int degree, int batch = 1) const;
 
-  /** Total mean step time for an explicit placement. */
+  /**
+   * Total mean step time for an explicit placement: ComputeTimeUs +
+   * CommTimeUs + LaunchTimeUs (a pow, a log2, two bottleneck walks).
+   * ExecutionEngine does not call it per dispatch: its
+   * PlacementPriceTable calls it once per (resolution, batch, degree,
+   * bottleneck class) cell and returns the stored double after that.
+   */
   double StepTimeOnMaskUs(Resolution res, int batch, GpuMask mask) const;
 
   /** Fraction of the step spent in communication (Fig. 2). */
@@ -118,7 +130,9 @@ class StepCostModel {
   double SampleStepTimeUs(Resolution res, int degree, int batch,
                           Rng& rng) const;
 
-  /** Relative jitter stddev for a cell (exposed for tests). */
+  /** Relative jitter stddev for a cell. One log2; the engine reads it
+   * from its PlacementPriceTable, precomputed per (resolution,
+   * degree). */
   double JitterCv(Resolution res, int degree) const;
 
   /**

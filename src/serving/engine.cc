@@ -1,6 +1,7 @@
 #include "serving/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/check.h"
@@ -17,6 +18,7 @@ ExecutionEngine::ExecutionEngine(sim::Simulator* simulator,
       cost_(cost),
       tracker_(tracker),
       latents_(latents),
+      prices_(cost),
       rng_(seed),
       pg_cache_(&cost->topology(), cost->params().pg_warmup_us,
                 cost->params().pg_buffer_mib),
@@ -48,18 +50,24 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
   const int degree = cluster::Popcount(assignment.mask);
   const TimeUs now = simulator_->Now();
 
-  // Validate members and compute the executable step count.
-  Request& first = tracker_->Get(assignment.requests.front());
-  const costmodel::Resolution res = first.meta.resolution;
-  int steps = assignment.max_steps;
+  // Resolve every member once; the loops below reuse the references.
+  // Tracker references are stable (request_tracker.h), and nothing in
+  // this function re-enters Dispatch.
+  members_.clear();
   for (RequestId id : assignment.requests) {
-    Request& req = tracker_->Get(id);
-    TETRI_CHECK_MSG(req.state == RequestState::kQueued,
-                    "request " << id << " not schedulable");
-    TETRI_CHECK_MSG(req.meta.resolution == res,
+    members_.push_back(&tracker_->Get(id));
+  }
+
+  // Validate members and compute the executable step count.
+  const costmodel::Resolution res = members_.front()->meta.resolution;
+  int steps = assignment.max_steps;
+  for (const Request* req : members_) {
+    TETRI_CHECK_MSG(req->state == RequestState::kQueued,
+                    "request " << req->meta.id << " not schedulable");
+    TETRI_CHECK_MSG(req->meta.resolution == res,
                     "batched requests must share a resolution");
-    TETRI_CHECK(req.RemainingSteps() >= 1);
-    steps = std::min(steps, req.RemainingSteps());
+    TETRI_CHECK(req->RemainingSteps() >= 1);
+    steps = std::min(steps, req->RemainingSteps());
   }
   TETRI_CHECK(steps >= 1);
 
@@ -68,13 +76,12 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
     da.now = now;
     da.mask = assignment.mask;
     da.steps = steps;
-    da.members.reserve(assignment.requests.size());
-    for (RequestId id : assignment.requests) {
-      const Request& req = tracker_->Get(id);
+    da.members.reserve(members_.size());
+    for (const Request* req : members_) {
       audit::MemberAudit member;
-      member.id = id;
-      member.remaining_steps = req.RemainingSteps();
-      member.resolution = static_cast<int>(req.meta.resolution);
+      member.id = req->meta.id;
+      member.remaining_steps = req->RemainingSteps();
+      member.resolution = static_cast<int>(req->meta.resolution);
       da.members.push_back(member);
     }
     audit_->OnDispatch(da);
@@ -85,9 +92,8 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
   // cold. Placement preservation exists to avoid exactly this.
   TimeUs stall_us = 0;
   bool any_reshard = false;
-  for (RequestId id : assignment.requests) {
-    const Request& req = tracker_->Get(id);
-    if (req.last_mask != 0 && req.last_mask != assignment.mask) {
+  for (const Request* req : members_) {
+    if (req->last_mask != 0 && req->last_mask != assignment.mask) {
       any_reshard = true;
     }
   }
@@ -104,38 +110,34 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
   // Latent transfers for all members proceed in parallel; the slowest
   // one gates the start of the first step.
   TimeUs transfer_us = 0;
-  for (RequestId id : assignment.requests) {
-    Request& req = tracker_->Get(id);
+  for (Request* req : members_) {
     transfer_us = std::max(
-        transfer_us,
-        latents_->OnAssignment(id, res, assignment.mask, 1, now));
-    tracker_->Transition(req, RequestState::kRunning, now);
-    req.last_mask = assignment.mask;
-    req.last_degree = degree;
-    if (req.first_start_us < 0) req.first_start_us = now;
+        transfer_us, latents_->OnAssignment(req->meta.id, res,
+                                            assignment.mask, 1, now));
+    tracker_->Transition(*req, RequestState::kRunning, now);
+    req->last_mask = assignment.mask;
+    req->last_degree = degree;
+    if (req->first_start_us < 0) req->first_start_us = now;
   }
   transfer_us += stall_us;
 
-  // Execute `steps` jittered steps on the actual placement. A
-  // sequence-parallel group synchronizes every step, so the whole
+  // Execute `steps` jittered steps on the actual placement, priced
+  // from the placement table (the analytic model runs once per cell).
+  // A sequence-parallel group synchronizes every step, so the whole
   // assignment runs at the pace of its slowest (straggling) member.
   const double mean_us =
-      cost_->StepTimeOnMaskUs(res, batch, assignment.mask) *
+      prices_.StepTimeUs(res, batch, assignment.mask) *
       StragglerFactor(assignment.mask);
-  const double cv =
-      cost_->JitterCv(res, degree);
+  const double cv = prices_.JitterCv(res, degree);
   double exec_us = 0.0;
   // Per-step boundaries are only materialized when tracing; the rng
   // draws are identical either way, so enabling a trace sink cannot
   // perturb the simulated schedule.
-  std::vector<TimeUs> step_ends;
-  if (trace_ != nullptr) {
-    step_ends.reserve(static_cast<std::size_t>(steps));
-  }
+  step_ends_.clear();
   for (int s = 0; s < steps; ++s) {
     exec_us += mean_us * std::max(0.5, rng_.NextGaussian(1.0, cv));
     if (trace_ != nullptr) {
-      step_ends.push_back(util::RoundUs(exec_us));
+      step_ends_.push_back(util::RoundUs(exec_us));
     }
   }
 
@@ -166,14 +168,14 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
     ev.batch = batch;
     ev.value = static_cast<double>(transfer_us);
     trace_->OnEvent(ev);
-    for (RequestId id : assignment.requests) {
+    for (const Request* req : members_) {
       trace::TraceEvent member;
       member.kind = trace::TraceEventKind::kMember;
       member.time_us = now;
-      member.request = id;
+      member.request = req->meta.id;
       member.mask = assignment.mask;
       member.degree = degree;
-      member.steps = tracker_->Get(id).RemainingSteps();
+      member.steps = req->RemainingSteps();
       member.batch = batch;
       trace_->OnEvent(member);
     }
@@ -187,13 +189,13 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
       trace::TraceEvent step;
       step.kind = trace::TraceEventKind::kStep;
       step.time_us = now + transfer_us + prev;
-      step.dur_us = step_ends[static_cast<std::size_t>(s)] - prev;
+      step.dur_us = step_ends_[static_cast<std::size_t>(s)] - prev;
       step.mask = assignment.mask;
       step.degree = degree;
       step.steps = s;
       step.batch = batch;
       trace_->OnEvent(step);
-      prev = step_ends[static_cast<std::size_t>(s)];
+      prev = step_ends_[static_cast<std::size_t>(s)];
     }
   }
 
@@ -213,35 +215,51 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
   }
 
   // Register the flight so FailGpus can find and abort it; the
-  // completion event no-ops if the registry entry is gone by then.
+  // completion event no-ops if the flight is gone by then. Copying
+  // into a reused slot keeps its request buffer.
+  InFlight* flight = FindFlight(kFreeSlot);
+  if (flight == nullptr) flight = &flights_.emplace_back();
   const std::uint64_t flight_id = next_flight_id_++;
-  InFlight flight;
-  flight.assignment = assignment;
-  flight.start_us = now;
-  flight.end_us = end;
-  flight.steps = steps;
-  flight.exec_span_us = exec_span_us;
-  flight.transfer_us = transfer_us;
-  flight.timeline_index = timeline_index;
-  in_flight_.emplace(flight_id, std::move(flight));
+  flight->id = flight_id;
+  flight->assignment = assignment;
+  flight->start_us = now;
+  flight->end_us = end;
+  flight->steps = steps;
+  flight->exec_span_us = exec_span_us;
+  flight->transfer_us = transfer_us;
+  flight->timeline_index = timeline_index;
   simulator_->ScheduleAt(end,
                          [this, flight_id]() { CompleteById(flight_id); });
+}
+
+ExecutionEngine::InFlight*
+ExecutionEngine::FindFlight(std::uint64_t id)
+{
+  for (InFlight& flight : flights_) {
+    if (flight.id == id) return &flight;
+  }
+  return nullptr;
+}
+
+void
+ExecutionEngine::Retire(InFlight* slot)
+{
+  std::swap(retiring_, *slot);
+  slot->id = kFreeSlot;
 }
 
 void
 ExecutionEngine::CompleteById(std::uint64_t id)
 {
-  auto it = in_flight_.find(id);
-  if (it == in_flight_.end()) return;  // aborted by a GPU failure
-  InFlight flight = std::move(it->second);
-  in_flight_.erase(it);
-  Complete(std::move(flight.assignment), flight.steps,
-           flight.exec_span_us, flight.transfer_us);
+  InFlight* flight = FindFlight(id);
+  if (flight == nullptr) return;  // aborted by a GPU failure
+  Retire(flight);
+  Complete(retiring_.assignment, retiring_.steps, retiring_.exec_span_us);
 }
 
 void
-ExecutionEngine::Complete(Assignment assignment, int steps,
-                          TimeUs exec_span_us, TimeUs /*transfer_us*/)
+ExecutionEngine::Complete(const Assignment& assignment, int steps,
+                          TimeUs exec_span_us)
 {
   const int degree = cluster::Popcount(assignment.mask);
   const int batch = static_cast<int>(assignment.requests.size());
@@ -309,18 +327,18 @@ ExecutionEngine::FailGpus(GpuMask mask)
     trace_->OnEvent(ev);
   }
 
-  bool aborted_any = false;
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    if ((it->second.assignment.mask & mask) == 0) {
-      ++it;
-      continue;
+  abort_ids_.clear();
+  for (const InFlight& flight : flights_) {
+    if (flight.id != kFreeSlot && (flight.assignment.mask & mask) != 0) {
+      abort_ids_.push_back(flight.id);
     }
-    const InFlight flight = std::move(it->second);
-    it = in_flight_.erase(it);
-    Abort(flight, mask);
-    aborted_any = true;
   }
-  if (aborted_any && on_assignment_done_) on_assignment_done_(now);
+  std::sort(abort_ids_.begin(), abort_ids_.end());
+  for (std::uint64_t id : abort_ids_) {
+    Retire(FindFlight(id));
+    Abort(retiring_, mask);
+  }
+  if (!abort_ids_.empty() && on_assignment_done_) on_assignment_done_(now);
 }
 
 void
@@ -467,8 +485,8 @@ double
 ExecutionEngine::StragglerFactor(GpuMask mask) const
 {
   double slow = 1.0;
-  for (int gpu : cluster::GpuIndices(mask)) {
-    slow = std::max(slow, straggler_[static_cast<std::size_t>(gpu)]);
+  for (GpuMask rest = mask; rest != 0; rest &= rest - 1) {
+    slow = std::max(slow, straggler_[std::countr_zero(rest)]);
   }
   return slow;
 }

@@ -19,10 +19,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "cluster/process_group.h"
+#include "costmodel/placement_price.h"
 #include "costmodel/step_cost.h"
 #include "serving/latent_manager.h"
 #include "serving/timeline.h"
@@ -136,7 +136,16 @@ class ExecutionEngine {
    * slowest member GPU.
    */
   void SetStragglerFactor(int gpu, double factor);
+  /** Slowest member's factor; walks the mask's bits, no allocation. */
   double StragglerFactor(GpuMask mask) const;
+
+  /**
+   * The placement price table Dispatch charges from (exposed for
+   * tests): one analytic StepTimeOnMaskUs per (resolution, batch,
+   * degree, bottleneck class) cell, bit-identical to calling it on
+   * the dispatched mask.
+   */
+  costmodel::PlacementPriceTable& prices() { return prices_; }
 
   /** Total GPU-busy microseconds accumulated (for utilization). */
   double busy_gpu_us() const { return busy_gpu_us_; }
@@ -160,9 +169,14 @@ class ExecutionEngine {
   }
 
  private:
+  /** Marks an InFlight slot that holds no assignment. */
+  static constexpr std::uint64_t kFreeSlot = ~std::uint64_t{0};
+
   /** Registry entry for an assignment between dispatch and completion;
    * everything an abort needs to unwind the dispatch-time accounting. */
   struct InFlight {
+    /** Dispatch sequence number, or kFreeSlot. */
+    std::uint64_t id = kFreeSlot;
     Assignment assignment;
     TimeUs start_us = 0;
     TimeUs end_us = 0;
@@ -172,9 +186,15 @@ class ExecutionEngine {
     std::ptrdiff_t timeline_index = -1;
   };
 
+  /** The slot holding flight @p id (kFreeSlot: any free slot), or
+   * nullptr. Linear: there is at most one flight per GPU. */
+  InFlight* FindFlight(std::uint64_t id);
+  /** Move @p slot's flight into retiring_ and free the slot, so the
+   * callbacks that follow may dispatch into it. */
+  void Retire(InFlight* slot);
   void CompleteById(std::uint64_t id);
-  void Complete(Assignment assignment, int steps, TimeUs exec_span_us,
-                TimeUs transfer_us);
+  void Complete(const Assignment& assignment, int steps,
+                TimeUs exec_span_us);
   void Abort(const InFlight& flight, GpuMask failed_now);
   void FinishRequest(Request& request);
   void CancelNow(Request& request);
@@ -183,6 +203,7 @@ class ExecutionEngine {
   const costmodel::StepCostModel* cost_;
   RequestTracker* tracker_;
   LatentManager* latents_;
+  costmodel::PlacementPriceTable prices_;
   Rng rng_;
   cluster::ProcessGroupCache pg_cache_;
   GpuMask busy_ = 0;
@@ -197,9 +218,20 @@ class ExecutionEngine {
   int num_reconfigs_ = 0;
   /** Per-GPU slowdown factors (straggler injection), >= 1.0 nominal. */
   std::vector<double> straggler_;
-  /** In-flight assignments by dispatch sequence number. Ordered map:
-   * FailGpus iterates it, and abort order must be deterministic. */
-  std::map<std::uint64_t, InFlight> in_flight_;
+  /** Dispatch scratch, reused so steady-state dispatch does not
+   * allocate: the members' tracker entries, and (when tracing) the
+   * per-step end offsets. */
+  std::vector<Request*> members_;
+  std::vector<TimeUs> step_ends_;
+  /** In-flight assignment slots. A freed slot keeps its request
+   * buffer for the next dispatch, so steady-state dispatch does not
+   * allocate. FailGpus aborts in id order, which keeps it
+   * deterministic. */
+  std::vector<InFlight> flights_;
+  /** The flight being completed or aborted. */
+  InFlight retiring_;
+  /** FailGpus scratch: ids of the flights to abort. */
+  std::vector<std::uint64_t> abort_ids_;
   std::uint64_t next_flight_id_ = 0;
   Timeline* timeline_ = nullptr;
   audit::AuditSink* audit_ = nullptr;

@@ -58,6 +58,10 @@ class RequestTracker {
    */
   std::vector<Request*> Schedulable(TimeUs now);
 
+  /** Size the id index for @p n admissions, so admitting them never
+   * rehashes. */
+  void Reserve(std::size_t n) { index_.reserve(n); }
+
   /** All requests still kQueued or kRunning. O(1). */
   int NumActive() const { return num_active_; }
 

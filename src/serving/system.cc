@@ -184,20 +184,41 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
     }
   };
 
-  // Arrival events.
-  for (const workload::TraceRequest& req : trace.requests) {
-    simulator.ScheduleAt(req.arrival_us, [&tracker, &req, tracer]() {
-      tracker.Admit(req);
-      if (tracer != nullptr) {
-        trace::TraceEvent ev;
-        ev.kind = trace::TraceEventKind::kAdmit;
-        ev.time_us = req.arrival_us;
-        ev.request = req.id;
-        ev.steps = req.num_steps;
-        ev.value = static_cast<double>(req.deadline_us - req.arrival_us);
-        tracer->OnEvent(ev);
-      }
-    });
+  // Arrival events. An event-driven policy plans once per arrival,
+  // after every arrival at that instant is admitted and before any
+  // other event at it. The last arrival at each instant makes those
+  // calls itself, so no per-arrival planning event sits in the event
+  // heap. Each event captures only (&arrive, index), which fits in
+  // std::function's inline buffer, so scheduling the arrivals
+  // allocates nothing per request.
+  const std::vector<workload::TraceRequest>& arrivals = trace.requests;
+  tracker.Reserve(arrivals.size());
+  auto arrive = [&](std::size_t i) {
+    const workload::TraceRequest& req = arrivals[i];
+    tracker.Admit(req);
+    if (tracer != nullptr) {
+      trace::TraceEvent ev;
+      ev.kind = trace::TraceEventKind::kAdmit;
+      ev.time_us = req.arrival_us;
+      ev.request = req.id;
+      ev.steps = req.num_steps;
+      ev.value = static_cast<double>(req.deadline_us - req.arrival_us);
+      tracer->OnEvent(ev);
+    }
+    if (round_based) return;
+    if (i + 1 < arrivals.size() &&
+        arrivals[i + 1].arrival_us == req.arrival_us) {
+      return;
+    }
+    std::size_t first = i;
+    while (first > 0 && arrivals[first - 1].arrival_us == req.arrival_us) {
+      --first;
+    }
+    for (std::size_t k = first; k <= i; ++k) invoke_scheduler();
+  };
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    simulator.ScheduleAt(arrivals[i].arrival_us,
+                         [&arrive, i]() { arrive(i); });
   }
 
   std::function<void()> round_tick;
@@ -229,11 +250,9 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
       simulator.ScheduleAt(trace.requests.front().arrival_us, round_tick);
     }
   } else {
-    // Event-driven: plan on every arrival and completion.
+    // Event-driven: plan on every arrival (see the arrival events
+    // above) and on every completion.
     engine.set_on_assignment_done([&](TimeUs) { invoke_scheduler(); });
-    for (const workload::TraceRequest& req : trace.requests) {
-      simulator.ScheduleAt(req.arrival_us, [&]() { invoke_scheduler(); });
-    }
   }
 
   // Fault injection (tetri::chaos) attaches here, after the arrival

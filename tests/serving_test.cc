@@ -438,5 +438,43 @@ TEST(ServingSystemDeathTest, TraceNotOrderedByArrivalPanics)
   EXPECT_DEATH(system.Run(&sched, trace), "not ordered by arrival");
 }
 
+/** Records (time, queue size) of every Plan call; never dispatches. */
+class PlanRecorder : public Scheduler {
+ public:
+  std::string Name() const override { return "PlanRecorder"; }
+  SchedulingMode Mode() const override {
+    return SchedulingMode::kEventDriven;
+  }
+  RoundPlan Plan(const ScheduleContext& ctx) override
+  {
+    calls.emplace_back(ctx.now, ctx.schedulable->size());
+    return {};
+  }
+  std::vector<std::pair<TimeUs, std::size_t>> calls;
+};
+
+TEST(ServingSystemTest, EventDrivenPlansOncePerArrivalAfterSameInstantAdmits)
+{
+  // Three arrivals share t=100 and one comes at t=200. An event-driven
+  // policy is planned once per arrival, and every plan at an instant
+  // sees all of that instant's arrivals admitted.
+  auto model = ModelConfig::FluxDev();
+  auto topo = Topology::H100Node();
+  ServingSystem system(&topo, &model);
+  workload::Trace trace;
+  for (RequestId id = 0; id < 3; ++id) {
+    trace.requests.push_back(
+        MakeRequest(id, Resolution::k256, 100, 10'000'000));
+  }
+  trace.requests.push_back(
+      MakeRequest(3, Resolution::k256, 200, 10'000'000));
+  PlanRecorder recorder;
+  const ServingResult result = system.Run(&recorder, trace);
+  const std::vector<std::pair<TimeUs, std::size_t>> expected = {
+      {100, 3}, {100, 3}, {100, 3}, {200, 4}};
+  EXPECT_EQ(recorder.calls, expected);
+  EXPECT_EQ(result.num_scheduler_calls, 4);
+}
+
 }  // namespace
 }  // namespace tetri::serving

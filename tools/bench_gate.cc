@@ -16,11 +16,12 @@
  * replanning. Reports without the block skip the check.
  *
  * When the current report carries a "scaling" block (produced by
- * `bench_e2e_scaling`), the gate enforces a linear serving loop: the
- * per-request wall cost at the largest trace length may be at most
- * kScalingMaxRatio (1.5) times the cost at the smallest. A scaling
- * report needs no "configs" array; the geomean check then does not
- * apply.
+ * `bench_e2e_scaling`), the gate enforces a linear serving loop: for
+ * every scheduler in the block, the per-request wall cost at the
+ * largest trace length may be at most kScalingMaxRatio (1.5) times the
+ * cost at the smallest. Rows without a "scheduler" field form one
+ * group. A scaling report needs no "configs" array; the geomean check
+ * then does not apply.
  *
  * Usage:
  *   bench_gate <baseline.json> <current.json>
@@ -33,6 +34,7 @@
  *
  * Exit codes: 0 within threshold, 1 regression, 2 usage/parse error.
  */
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -73,6 +75,7 @@ struct ChurnRow {
 };
 
 struct ScalingRow {
+  std::string scheduler;
   int num_requests = 0;
   double us_per_request = 0.0;
 };
@@ -209,6 +212,7 @@ ParseReport(const std::string& path, Report* out)
   // configs array.
   for (const std::string& obj : ArrayObjects(text, "scaling")) {
     ScalingRow row;
+    row.scheduler = StringField(obj, "scheduler");
     row.num_requests = static_cast<int>(NumberField(obj, "num_requests"));
     row.us_per_request = NumberField(obj, "us_per_request");
     if (row.num_requests > 0 && row.us_per_request > 0) {
@@ -263,35 +267,44 @@ AppendTrajectory(const std::string& path, const std::string& label,
 }
 
 /**
- * Print the scaling rows (with the baseline's cost at the same N when
- * it has one) and return the per-request cost at the largest N over
- * the cost at the smallest.
+ * Print the scaling rows (with the baseline's cost at the same
+ * scheduler and N when it has one) and return, per scheduler, the
+ * per-request cost at the largest N over the cost at the smallest.
  */
-double
-ScalingCostRatio(const Report& baseline, const Report& current)
+std::map<std::string, double>
+ScalingCostRatios(const Report& baseline, const Report& current)
 {
-  std::map<int, double> base_cost;
+  std::map<std::pair<std::string, int>, double> base_cost;
   for (const ScalingRow& row : baseline.scaling) {
-    base_cost[row.num_requests] = row.us_per_request;
+    base_cost[{row.scheduler, row.num_requests}] = row.us_per_request;
   }
-  std::printf("%10s %14s %14s %8s\n", "requests", "base_us_req",
-              "cur_us_req", "vs_base");
-  const ScalingRow* smallest = &current.scaling.front();
-  const ScalingRow* largest = &current.scaling.front();
+  std::printf("%-12s %10s %14s %14s %8s\n", "scheduler", "requests",
+              "base_us_req", "cur_us_req", "vs_base");
+  std::map<std::string, std::pair<const ScalingRow*, const ScalingRow*>>
+      extremes;  // scheduler -> (smallest N, largest N)
   for (const ScalingRow& row : current.scaling) {
-    const auto it = base_cost.find(row.num_requests);
+    const std::string name = row.scheduler.empty() ? "-" : row.scheduler;
+    const auto it = base_cost.find({row.scheduler, row.num_requests});
     if (it != base_cost.end()) {
-      std::printf("%10d %14.3f %14.3f %7.2fx\n", row.num_requests,
-                  it->second, row.us_per_request,
+      std::printf("%-12s %10d %14.3f %14.3f %7.2fx\n", name.c_str(),
+                  row.num_requests, it->second, row.us_per_request,
                   row.us_per_request / it->second);
     } else {
-      std::printf("%10d %14s %14.3f %8s\n", row.num_requests, "-",
-                  row.us_per_request, "-");
+      std::printf("%-12s %10d %14s %14.3f %8s\n", name.c_str(),
+                  row.num_requests, "-", row.us_per_request, "-");
     }
+    auto [ext, fresh] = extremes.try_emplace(row.scheduler, &row, &row);
+    if (fresh) continue;
+    auto& [smallest, largest] = ext->second;
     if (row.num_requests < smallest->num_requests) smallest = &row;
     if (row.num_requests > largest->num_requests) largest = &row;
   }
-  return largest->us_per_request / smallest->us_per_request;
+  std::map<std::string, double> ratios;
+  for (const auto& [scheduler, ext] : extremes) {
+    ratios[scheduler] =
+        ext.second->us_per_request / ext.first->us_per_request;
+  }
+  return ratios;
 }
 
 int
@@ -351,14 +364,28 @@ main(int argc, char** argv)
   }
 
   // Scaling report (bench_e2e_scaling): the serving loop is linear when
-  // the per-request cost stays flat as the trace grows. The ratio is
-  // within one run, so machine speed cancels out of it.
+  // the per-request cost stays flat as the trace grows, under every
+  // scheduler. The ratio is within one run, so machine speed cancels
+  // out of it.
   if (!current.scaling.empty()) {
-    const double ratio = ScalingCostRatio(baseline, current);
+    const std::map<std::string, double> ratios =
+        ScalingCostRatios(baseline, current);
+    double ratio = 0.0;
+    std::string by_scheduler;
+    for (const auto& [scheduler, r] : ratios) {
+      ratio = std::max(ratio, r);
+      if (scheduler.empty()) continue;
+      std::printf("bench_gate: %s per-request cost largest/smallest N "
+                  "%.3fx\n", scheduler.c_str(), r);
+      char cell[96];
+      std::snprintf(cell, sizeof(cell), "%s\"%s\": %.4f",
+                    by_scheduler.empty() ? "" : ", ", scheduler.c_str(), r);
+      by_scheduler += cell;
+    }
     const bool pass = ratio <= kScalingMaxRatio;
     std::printf(
         "bench_gate: per-request cost largest/smallest N %.3fx "
-        "(max %.2fx, current mode '%s')\n",
+        "(worst scheduler; max %.2fx, current mode '%s')\n",
         ratio, kScalingMaxRatio, current.mode.c_str());
     if (!trajectory_path.empty()) {
       char fields[160];
@@ -366,8 +393,13 @@ main(int argc, char** argv)
                     "\"scaling_cost_ratio\": %.4f, "
                     "\"scaling_max_ratio\": %.2f, \"pass\": %s",
                     ratio, kScalingMaxRatio, pass ? "true" : "false");
+      std::string record = fields;
+      if (!by_scheduler.empty()) {
+        record += ", \"scaling_cost_ratio_by_scheduler\": {" +
+                  by_scheduler + "}";
+      }
       if (!AppendTrajectory(trajectory_path, label, current.mode,
-                            fields)) {
+                            record)) {
         return 2;
       }
     }
