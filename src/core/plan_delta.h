@@ -5,9 +5,10 @@
  * TetriServe replans every round from scratch, but between consecutive
  * rounds only a handful of requests arrive, finish, fail, or degrade.
  * With TetriOptions::incremental_replan on, TetriScheduler carries the
- * Stage-1 allocation answers, the Stage-2 DP value rows, and the pure
- * memo caches (staircases, lower bounds, step times) across rounds and
- * recomputes only what a round's delta actually touched.
+ * Stage-1 allocation answers and the Stage-2 DP value rows across
+ * rounds and recomputes only what a round's delta actually touched.
+ * (The pure memo caches — staircases, lower bounds, step times — are
+ * keyed on (table, tau) and persist across rounds in every mode.)
  *
  * The contract is **bit-identical or full replan**: every reuse below
  * is justified by an exact invariant (a staircase interval that

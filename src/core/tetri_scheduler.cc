@@ -16,6 +16,9 @@ using serving::Request;
 
 namespace {
 
+/** Marks an lb_memo cell not yet computed; real bounds are >= 0. */
+constexpr double kLowerBoundUnset = -1.0;
+
 /** Field-wise equality so Reconfigure can tell a real options change
  * from a no-op (and only bump the options generation for the real
  * thing). */
@@ -199,7 +202,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
 
   // One shared planning logic, two data paths. The fast path plans out
   // of the PlanScratch arena (prebuilt per-resolution degree info,
-  // epoch-stamped memo caches, flat DP scratch, incremental GPU
+  // (table, tau)-keyed memo caches, flat DP scratch, incremental GPU
   // counter); the reference path reproduces the seed implementation's
   // data flow (per-call RoundAwarePlan allocations, direct latency
   // table lookups, the nested-vector DP, O(pendings) recounts). Both
@@ -289,18 +292,17 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     }
   }
 
-  // The memo caches below are pure functions of (table, tau), so
-  // incremental rounds keep them warm: every input change fires a
-  // full-replan rule above, and full rounds re-invalidate as before.
-  if (!inc || full) {
-    ++scratch_.round_epoch;
-    if (fast) scratch_.step_cache.BeginRound();
-    scratch_.degree_info_ready.fill(false);
-  }
+  // The memo caches below — staircases, degree info, lower bounds and
+  // step times — are pure functions of (table, tau), so they persist
+  // across rounds, full or incremental. A tau change resets the
+  // tau-keyed ones here; ApplyConfig rebinds the step-time cache and
+  // poisons the tau guard, which covers a table swap at equal tau.
   if (fast && scratch_.staircase_tau != tau) {
     for (auto& per_res : scratch_.staircases) {
       for (PlanStaircase& s : per_res) s.built = false;
     }
+    scratch_.degree_info_ready.fill(false);
+    for (auto& memo : scratch_.lb_memo) memo.clear();
     scratch_.staircase_tau = tau;
   }
 
@@ -344,14 +346,11 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     if (steps <= 0) return 0.0;
     const int ri = costmodel::ResolutionIndex(res);
     auto& memo = scratch_.lb_memo[ri];
-    auto& epoch = scratch_.lb_memo_epoch[ri];
     if (static_cast<int>(memo.size()) <= steps) {
-      memo.resize(steps + 1, 0.0);
-      epoch.resize(steps + 1, 0);
+      memo.resize(steps + 1, kLowerBoundUnset);
     }
-    if (epoch[steps] != scratch_.round_epoch) {
+    if (memo[steps] == kLowerBoundUnset) {
       memo[steps] = RoundAwareLowerBoundUs(degree_info(res), steps, tau);
-      epoch[steps] = scratch_.round_epoch;
     }
     return memo[steps];
   };

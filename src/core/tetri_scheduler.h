@@ -99,9 +99,9 @@ struct TetriOptions {
    */
   bool allow_non_pow2 = false;
   /**
-   * Carry Stage-1 staircase answers, Stage-2 DP value rows, and the
-   * pure memo caches across rounds, recomputing only what each
-   * round's delta touched (plan_delta.h). Plans are bit-identical to
+   * Carry Stage-1 staircase answers and Stage-2 DP value rows across
+   * rounds, recomputing only what each round's delta touched
+   * (plan_delta.h). Plans are bit-identical to
    * from-scratch planning — every reuse is proven exact or the round
    * falls back to a full replan. Requires the round-aware fast path
    * (incompatible with reference_plan and use_continuous_planner).
@@ -223,21 +223,19 @@ class TetriScheduler : public serving::Scheduler {
                costmodel::kNumResolutions>
         degree_info;
     std::array<bool, costmodel::kNumResolutions> degree_info_ready{};
-    // Per-round memo of RoundAwareLowerBoundUs(res, steps): Stage 2
-    // evaluates the bound for every (option, residual) pair and the
-    // same residuals recur across requests. Epoch-stamped so BeginRound
-    // invalidation is O(1).
+    // Memo of RoundAwareLowerBoundUs(res, steps), negative where not
+    // yet computed: Stage 2 evaluates the bound for every
+    // (option, residual) pair and the same residuals recur across
+    // requests and rounds.
     std::array<std::vector<double>, costmodel::kNumResolutions> lb_memo;
-    std::array<std::vector<std::uint64_t>, costmodel::kNumResolutions>
-        lb_memo_epoch;
-    std::uint64_t round_epoch = 0;
     // Stage-1 planner staircases, indexed [resolution][remaining
     // steps]. A staircase depends only on (table, tau, res, steps), so
     // it persists across rounds while tau is stable — the common case,
     // since the engine drives fixed-length rounds — turning the
     // planner's O(degrees^2 * steps) candidate scan per request into a
-    // binary search. staircase_tau guards against callers that change
-    // the round window between Plan() calls.
+    // binary search. staircase_tau guards this and every other
+    // tau-keyed memo against callers that change the round window
+    // between Plan() calls.
     std::array<std::vector<PlanStaircase>, costmodel::kNumResolutions>
         staircases;
     double staircase_tau = -1.0;

@@ -1,7 +1,5 @@
 #include "costmodel/step_time_cache.h"
 
-#include <bit>
-
 #include "util/check.h"
 
 namespace tetri::costmodel {
@@ -15,10 +13,7 @@ StepTimeCache::Bind(const LatencyTable* table)
   max_batch_ = table->max_batch();
   slots_.assign(static_cast<std::size_t>(kNumResolutions) *
                     max_degree_ * max_batch_,
-                Slot{});
-  epoch_ = 1;
-  hits_ = 0;
-  misses_ = 0;
+                kUnset);
 }
 
 double
@@ -32,15 +27,9 @@ StepTimeCache::StepTimeUs(Resolution res, int degree, int batch)
           max_batch_ +
       (batch - 1);
   TETRI_CHECK(idx < slots_.size());
-  Slot& slot = slots_[idx];
-  if (slot.epoch == epoch_) {
-    ++hits_;
-    return slot.value;
-  }
-  ++misses_;
-  slot.value = table_->StepTimeUs(res, degree, batch);
-  slot.epoch = epoch_;
-  return slot.value;
+  double& slot = slots_[idx];
+  if (slot == kUnset) slot = table_->StepTimeUs(res, degree, batch);
+  return slot;
 }
 
 }  // namespace tetri::costmodel

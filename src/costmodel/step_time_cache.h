@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-round memoized front of LatencyTable::StepTimeUs.
+ * Memoized front of LatencyTable::StepTimeUs.
  *
  * TetriScheduler::Plan evaluates the same (resolution, degree, batch)
  * step times dozens of times per round — deadline allocation, round
@@ -8,18 +8,18 @@
  * table for the handful of cells the current queue mix touches. The
  * table lookup itself walks nested vectors and re-validates its
  * arguments on every call; this cache flattens that to one
- * bounds-free array probe after the first hit per key per round.
+ * bounds-free array probe after the first hit per key.
  *
- * Invalidation is epoch-based: BeginRound() bumps a counter instead of
- * clearing storage, so starting a round is O(1) and the slot array is
- * allocated exactly once per bound table (zero steady-state heap
- * traffic). Cached values are the table's values verbatim — the cache
- * can never change a planning decision, only the cost of making it.
+ * A step time is a pure function of the bound table, so a value stays
+ * valid for as long as the binding: the cache persists across rounds
+ * and only Bind() invalidates it. The slot array is allocated once per
+ * bound table (zero steady-state heap traffic). Cached values are the
+ * table's values verbatim — the cache can never change a planning
+ * decision, only the cost of making it.
  */
 #ifndef TETRI_COSTMODEL_STEP_TIME_CACHE_H
 #define TETRI_COSTMODEL_STEP_TIME_CACHE_H
 
-#include <cstdint>
 #include <vector>
 
 #include "costmodel/latency_table.h"
@@ -35,9 +35,6 @@ class StepTimeCache {
   /** Bind (or re-bind) the backing table and drop all cached values. */
   void Bind(const LatencyTable* table);
 
-  /** Invalidate every cached value in O(1). Call at round start. */
-  void BeginRound() { ++epoch_; }
-
   const LatencyTable* table() const { return table_; }
 
   /**
@@ -46,28 +43,18 @@ class StepTimeCache {
    */
   double StepTimeUs(Resolution res, int degree, int batch = 1);
 
-  /** Lookups served from the memo since Bind(). */
-  std::uint64_t hits() const { return hits_; }
-  /** Lookups that had to consult the table since Bind(). */
-  std::uint64_t misses() const { return misses_; }
-
  private:
-  struct Slot {
-    std::uint64_t epoch = 0;  // 0 never matches a live epoch
-    double value = 0.0;
-  };
+  /** Marks a slot not yet filled; profiled step times are positive. */
+  static constexpr double kUnset = -1.0;
 
   const LatencyTable* table_ = nullptr;
   int max_degree_ = 0;
   int max_batch_ = 0;
-  std::uint64_t epoch_ = 1;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   // [res][degree-1][batch-1] flattened. Dense in the degree so
   // non-power-of-two degrees (extended tables) index without
   // collision; pow2-only tables waste the in-between slots, a few
   // hundred bytes.
-  std::vector<Slot> slots_;
+  std::vector<double> slots_;
 };
 
 }  // namespace tetri::costmodel

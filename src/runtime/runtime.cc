@@ -596,7 +596,8 @@ ServingRuntime::ApplyCompletion(const CompletionMsg& msg)
       if (options_.retry.deadline_aware_drop) {
         const TimeUs residual = MinResidualSpanUs(
             request.meta.resolution, request.RemainingSteps());
-        if (now + residual > DropAtUs(request)) {
+        if (now + residual >
+            serving::DropAtUs(request, options_.drop_timeout_factor)) {
           DropRequest(request, now, metrics::DropReason::kRetryBudget,
                       /*count_failed=*/true);
           continue;
@@ -676,7 +677,8 @@ ServingRuntime::AdmitPending(std::vector<workload::TraceRequest>* pending)
           admitted.meta.resolution, admitted.meta.num_steps);
       const TimeUs estimate =
           now + util::RoundUs(queue_delay_ewma_) + min_span;
-      if (estimate > DropAtUs(admitted)) {
+      if (estimate >
+          serving::DropAtUs(admitted, options_.drop_timeout_factor)) {
         ++infeasible;
         DropRequest(admitted, now, metrics::DropReason::kInfeasible);
         continue;
@@ -696,7 +698,8 @@ ServingRuntime::NextEventDelayUs(TimeUs now) const
   double next = std::numeric_limits<double>::infinity();
   for (const auto& [id, request] : active_) {
     if (request.state != serving::RequestState::kQueued) continue;
-    TimeUs event = DropAtUs(request);
+    TimeUs event =
+        serving::DropAtUs(request, options_.drop_timeout_factor);
     const auto gate = not_before_.find(id);
     if (gate != not_before_.end() && gate->second > now) {
       event = std::min(event, gate->second);
@@ -704,19 +707,6 @@ ServingRuntime::NextEventDelayUs(TimeUs now) const
     next = std::min(next, static_cast<double>(event - now));
   }
   return next < 0.0 ? 0.0 : next;
-}
-
-TimeUs
-ServingRuntime::DropAtUs(const serving::Request& request) const
-{
-  // One rounding through util::RoundUs, clamped so a deadline before
-  // arrival (negative budget) drops at the first opportunity instead
-  // of computing a drop time in the past.
-  const TimeUs budget =
-      request.meta.deadline_us - request.meta.arrival_us;
-  return request.meta.arrival_us +
-         std::max<TimeUs>(0, util::RoundUs(options_.drop_timeout_factor *
-                                           static_cast<double>(budget)));
 }
 
 TimeUs
@@ -751,7 +741,7 @@ ServingRuntime::PlanOnce(TimeUs now)
 
   std::size_t kept = 0;
   for (serving::Request* request : snapshot_) {
-    if (now >= DropAtUs(*request)) {
+    if (now >= serving::DropAtUs(*request, options_.drop_timeout_factor)) {
       DropRequest(*request, now, metrics::DropReason::kTimeout);
     } else {
       snapshot_[kept++] = request;

@@ -358,7 +358,6 @@ class ServingRuntime {
   /** Host-us until the next drop-deadline or backoff expiry among
    * queued requests; +infinity when nothing is timed. */
   double NextEventDelayUs(TimeUs now) const;
-  TimeUs DropAtUs(const serving::Request& request) const;
   /** Optimistic lower bound on residual execution time. */
   TimeUs MinResidualSpanUs(costmodel::Resolution res, int steps) const;
   void FinishRequest(serving::Request& request, TimeUs now);

@@ -8,7 +8,10 @@
 #ifndef TETRI_SERVING_REQUEST_H
 #define TETRI_SERVING_REQUEST_H
 
+#include <algorithm>
+
 #include "metrics/metrics.h"
+#include "util/rounding.h"
 #include "workload/trace.h"
 
 namespace tetri::serving {
@@ -60,6 +63,22 @@ struct Request {
   /** Convert to the immutable metrics record. */
   metrics::RequestRecord ToRecord() const;
 };
+
+/**
+ * The instant a queued request is abandoned: arrival plus
+ * @p drop_timeout_factor x its SLO budget, rounded once through
+ * util::RoundUs and clamped so a deadline before arrival (negative
+ * budget) drops at the first opportunity instead of in the past. The
+ * one drop rule of the simulated serving loop and the runtime.
+ */
+inline TimeUs
+DropAtUs(const Request& request, double drop_timeout_factor)
+{
+  const TimeUs budget = request.meta.deadline_us - request.meta.arrival_us;
+  return request.meta.arrival_us +
+         std::max<TimeUs>(0, util::RoundUs(drop_timeout_factor *
+                                           static_cast<double>(budget)));
+}
 
 }  // namespace tetri::serving
 

@@ -35,10 +35,9 @@ RequestTracker::Transition(Request& request, RequestState to, TimeUs now)
   request.state = to;
   num_active_ += static_cast<int>(request.Active()) -
                  static_cast<int>(was_active);
-  const bool in_queued = entry.queued_pos != kNotQueued;
-  if (to == RequestState::kQueued && !in_queued) {
+  if (to == RequestState::kQueued && !entry.queued) {
     EnqueueQueued(entry);
-  } else if (to != RequestState::kQueued && in_queued) {
+  } else if (to != RequestState::kQueued && entry.queued) {
     EraseQueued(entry);
   }
 }
@@ -56,19 +55,19 @@ RequestTracker::EntryOf(const Request& request)
 void
 RequestTracker::EnqueueQueued(Entry& entry)
 {
-  entry.queued_pos = queued_.size();
+  // Appended out of place; the next Schedulable pass slots it in.
+  entry.queued = true;
   queued_.push_back(&entry);
 }
 
 void
 RequestTracker::EraseQueued(Entry& entry)
 {
-  // Swap-erase: the last member takes the vacated slot.
-  Entry* last = queued_.back();
-  queued_[entry.queued_pos] = last;
-  last->queued_pos = entry.queued_pos;
-  queued_.pop_back();
-  entry.queued_pos = kNotQueued;
+  // Order-preserving erase, so a quiet queue stays sorted.
+  const auto it = std::find(queued_.begin(), queued_.end(), &entry);
+  TETRI_CHECK(it != queued_.end());
+  queued_.erase(it);
+  entry.queued = false;
 }
 
 Request&
@@ -93,24 +92,43 @@ RequestTracker::Contains(RequestId id) const
   return index_.contains(id);
 }
 
-std::vector<Request*>
-RequestTracker::Schedulable(TimeUs now)
+void
+RequestTracker::Schedulable(TimeUs now, std::vector<Request*>* out)
 {
+  // Insertion pass on the live (deadline, id) key: O(q) over an
+  // already sorted set, and exact for any input, so appended entries
+  // and deadlines edited through held references land in their slots.
+  // Ids are unique, so the order is total and equals a full sort.
+  auto before = [](const Entry* a, const Entry* b) {
+    const workload::TraceRequest& x = a->request.meta;
+    const workload::TraceRequest& y = b->request.meta;
+    if (x.deadline_us != y.deadline_us) return x.deadline_us < y.deadline_us;
+    return x.id < y.id;
+  };
+  for (std::size_t i = 1; i < queued_.size(); ++i) {
+    Entry* entry = queued_[i];
+    std::size_t j = i;
+    for (; j > 0 && before(entry, queued_[j - 1]); --j) {
+      queued_[j] = queued_[j - 1];
+    }
+    queued_[j] = entry;
+  }
   // The state filter stays: the queued set is maintained by Transition,
   // and a request whose state was written directly must not leak out.
-  std::vector<Request*> out;
+  out->clear();
   for (Entry* entry : queued_) {
     Request& req = entry->request;
     if (req.state == RequestState::kQueued && req.Arrived(now)) {
-      out.push_back(&req);
+      out->push_back(&req);
     }
   }
-  std::sort(out.begin(), out.end(), [](const Request* a, const Request* b) {
-    if (a->meta.deadline_us != b->meta.deadline_us) {
-      return a->meta.deadline_us < b->meta.deadline_us;
-    }
-    return a->meta.id < b->meta.id;
-  });
+}
+
+std::vector<Request*>
+RequestTracker::Schedulable(TimeUs now)
+{
+  std::vector<Request*> out;
+  Schedulable(now, &out);
   return out;
 }
 

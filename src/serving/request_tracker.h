@@ -6,7 +6,9 @@
  *
  * Per-tick queries cost O(working set), not O(everything admitted): the
  * tracker keeps a running count of active requests and the set of
- * requests in kQueued, both maintained by Admit and Transition.
+ * requests in kQueued, both maintained by Admit and Transition. The
+ * queued set is kept in (deadline, id) order across calls, so the
+ * per-tick snapshot is one insertion pass instead of a sort.
  */
 #ifndef TETRI_SERVING_REQUEST_TRACKER_H
 #define TETRI_SERVING_REQUEST_TRACKER_H
@@ -36,7 +38,8 @@ class RequestTracker {
    * Move @p request to @p to at time @p now. The single mutation point
    * for request states: every lifecycle change flows through here so
    * the audit layer sees the full transition stream, and the active
-   * count and queued set stay exact. O(1).
+   * count and queued set stay exact. O(1), except that leaving kQueued
+   * erases from the ordered queued set in O(q).
    */
   void Transition(Request& request, RequestState to, TimeUs now);
 
@@ -50,12 +53,17 @@ class RequestTracker {
   bool Contains(RequestId id) const;
 
   /**
-   * Requests that are schedulable right now: arrived, in kQueued state
-   * (not currently executing), sorted by deadline then id.
-   * O(q log q) in the number q of queued requests: it walks only the
-   * queued set and sorts at call time, so deadline edits made through
-   * a held reference are honoured.
+   * Clear @p out and fill it with the requests that are schedulable
+   * right now: arrived, in kQueued state (not currently executing),
+   * sorted by deadline then id. One insertion pass over the queued
+   * set, which reads the live keys: O(q) in the number q of queued
+   * requests when no key moved, plus the distance each requeued,
+   * admitted or re-keyed request travels to its slot. Deadline edits
+   * made through a held reference are therefore honoured. Reusing
+   * @p out across ticks keeps the snapshot free of heap traffic.
    */
+  void Schedulable(TimeUs now, std::vector<Request*>* out);
+  /** Schedulable into a fresh vector. */
   std::vector<Request*> Schedulable(TimeUs now);
 
   /** Size the id index for @p n admissions, so admitting them never
@@ -72,13 +80,10 @@ class RequestTracker {
   std::vector<metrics::RequestRecord> Records() const;
 
  private:
-  /** Marks a request that is not in queued_. */
-  static constexpr std::size_t kNotQueued = static_cast<std::size_t>(-1);
-
   struct Entry {
     Request request;
-    /** Position in queued_, or kNotQueued. */
-    std::size_t queued_pos = kNotQueued;
+    /** Whether the entry is a member of queued_. */
+    bool queued = false;
   };
 
   /** The entry holding @p request, found by id. */
@@ -89,7 +94,12 @@ class RequestTracker {
   std::unordered_map<RequestId, Entry*> index_;
   /** Admission order; a deque so entries never move. */
   std::deque<Entry> entries_;
-  /** Entries in kQueued, unordered; Schedulable sorts on demand. */
+  /**
+   * Entries in kQueued. Sorted by (deadline, id) after each
+   * Schedulable pass; between passes only entries appended by
+   * EnqueueQueued or re-keyed through a held reference are out of
+   * place, and the next pass moves them into their slots.
+   */
   std::vector<Entry*> queued_;
   int num_active_ = 0;
   audit::AuditSink* audit_ = nullptr;

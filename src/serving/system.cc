@@ -10,7 +10,6 @@
 #include "serving/request_tracker.h"
 #include "sim/simulator.h"
 #include "util/check.h"
-#include "util/rounding.h"
 #include "util/wallclock.h"
 
 namespace tetri::serving {
@@ -97,21 +96,12 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
   if (round_based) TETRI_CHECK(tau > 0);
 
   // Drop policy: abandon queued requests whose latency already exceeds
-  // drop_timeout_factor x budget. Filters the snapshot in place so the
-  // scheduler sees exactly the survivors. The drop instant is rounded
-  // through util::RoundUs (one-rounding-rule), clamped so a deadline
-  // before arrival (negative budget) drops at the first opportunity
-  // instead of computing a drop time in the past.
+  // drop_timeout_factor x budget (DropAtUs). Filters the snapshot in
+  // place so the scheduler sees exactly the survivors.
   auto maybe_drop = [&](TimeUs now, std::vector<Request*>* schedulable) {
     std::size_t kept = 0;
     for (Request* req : *schedulable) {
-      const TimeUs budget = req->meta.deadline_us - req->meta.arrival_us;
-      const TimeUs drop_at =
-          req->meta.arrival_us +
-          std::max<TimeUs>(
-              0, util::RoundUs(config_.drop_timeout_factor *
-                               static_cast<double>(budget)));
-      if (now >= drop_at) {
+      if (now >= DropAtUs(*req, config_.drop_timeout_factor)) {
         req->drop_reason = metrics::DropReason::kTimeout;
         if (tracer != nullptr) {
           trace::TraceEvent ev;
@@ -131,10 +121,14 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
     schedulable->resize(kept);
   };
 
+  // One snapshot buffer for the run: every tick refills it in place,
+  // so a warm tick takes no snapshot allocation. Plan() is done with
+  // it before Dispatch can re-enter invoke_scheduler.
+  std::vector<Request*> schedulable;
   auto invoke_scheduler = [&]() {
     const TimeUs now = simulator.Now();
     // One snapshot per tick: drop from it, schedule the survivors.
-    std::vector<Request*> schedulable = tracker.Schedulable(now);
+    tracker.Schedulable(now, &schedulable);
     maybe_drop(now, &schedulable);
     if (schedulable.empty()) return;
 
@@ -221,7 +215,11 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
                          [&arrive, i]() { arrive(i); });
   }
 
+  // The tick re-arms through a closure holding only a reference to
+  // round_tick, which fits std::function's inline buffer: copying
+  // round_tick itself would heap-clone its captures on every tick.
   std::function<void()> round_tick;
+  const auto rearm = [&round_tick]() { round_tick(); };
   std::size_t arrival_cursor = 0;
   if (round_based) {
     // Fixed round grid; re-anchored to the next arrival when idle so
@@ -241,13 +239,13 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
               ? trace.requests[arrival_cursor].arrival_us
               : -1;
       if (tracker.NumActive() > 0) {
-        simulator.ScheduleAt(now + tau, round_tick);
+        simulator.ScheduleAt(now + tau, rearm);
       } else if (next_arrival >= 0) {
-        simulator.ScheduleAt(next_arrival, round_tick);
+        simulator.ScheduleAt(next_arrival, rearm);
       }
     };
     if (!trace.requests.empty()) {
-      simulator.ScheduleAt(trace.requests.front().arrival_us, round_tick);
+      simulator.ScheduleAt(trace.requests.front().arrival_us, rearm);
     }
   } else {
     // Event-driven: plan on every arrival (see the arrival events
@@ -280,7 +278,8 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
   // still be queued here when capacity vanished for good in
   // event-driven mode (no completion event ever fired to re-plan);
   // drop it with a recorded reason rather than lose it silently.
-  for (Request* req : tracker.Schedulable(simulator.Now())) {
+  tracker.Schedulable(simulator.Now(), &schedulable);
+  for (Request* req : schedulable) {
     req->drop_reason = metrics::DropReason::kInfeasible;
     if (tracer != nullptr) {
       trace::TraceEvent ev;

@@ -2,7 +2,8 @@
  * @file
  * Cost-model tests: Table 1 calibration, scaling-shape properties
  * (Insights 1 and 2, Figures 2 and 3), jitter bounds, latency-table
- * lookups, latent-transfer and VAE costs.
+ * lookups, the step-time memo in front of them, latent-transfer and
+ * VAE costs.
  */
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "util/stats.h"
 #include "costmodel/model_config.h"
 #include "costmodel/step_cost.h"
+#include "costmodel/step_time_cache.h"
 
 namespace tetri::costmodel {
 using tetri::RunningStat;
@@ -266,6 +268,43 @@ TEST_F(LatencyTableTest, CsvContainsEveryCell)
   for (Resolution res : kAllResolutions) {
     EXPECT_NE(csv.find(ResolutionName(res)), std::string::npos);
   }
+}
+
+/** Every cell of @p cache equals the cell of @p table it fronts. */
+void
+ExpectCacheMatchesTable(StepTimeCache* cache, const LatencyTable& table)
+{
+  for (Resolution res : kAllResolutions) {
+    for (int k : table.degrees()) {
+      for (int bs = 1; bs <= table.max_batch(); ++bs) {
+        // Twice: the first probe fills the slot, the second reads it.
+        EXPECT_EQ(cache->StepTimeUs(res, k, bs), table.StepTimeUs(res, k, bs))
+            << ResolutionName(res) << " sp" << k << " bs" << bs;
+        EXPECT_EQ(cache->StepTimeUs(res, k, bs), table.StepTimeUs(res, k, bs))
+            << ResolutionName(res) << " sp" << k << " bs" << bs;
+      }
+    }
+  }
+}
+
+TEST_F(LatencyTableTest, StepTimeCacheFrontsItsBoundTable)
+{
+  StepTimeCache cache(&table_);
+  EXPECT_EQ(cache.table(), &table_);
+  ExpectCacheMatchesTable(&cache, table_);
+
+  // A re-Bind drops every value of the first table: a warm cache now
+  // answers with the cells of the second table (extended degrees,
+  // smaller batch, other seed), which differ from the first table's.
+  const LatencyTable other = LatencyTable::Profile(cost_, 3, 60, 6, true);
+  ASSERT_NE(other.StepTimeUs(Resolution::k1024, 2),
+            table_.StepTimeUs(Resolution::k1024, 2));
+  cache.Bind(&other);
+  EXPECT_EQ(cache.table(), &other);
+  ExpectCacheMatchesTable(&cache, other);
+
+  cache.Bind(&table_);
+  ExpectCacheMatchesTable(&cache, table_);
 }
 
 TEST(ResolutionTest, IndexRoundtrip)

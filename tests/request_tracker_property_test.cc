@@ -9,7 +9,9 @@
  * terminal transitions from both live states, deadline edits through
  * held references) and after every operation compares both queries to
  * a recount over every request ever admitted — the original O(all)
- * algorithm, kept here as the oracle. A second test pins reference
+ * algorithm, kept here as the oracle. A deep-queue sweep drives the
+ * buffer form of Schedulable, whose queued set stays sorted across
+ * calls, through the same oracle. A further test pins reference
  * stability: references from Admit and pointers from Schedulable must
  * survive any number of later admissions.
  */
@@ -145,6 +147,74 @@ TEST(RequestTrackerPropertyTest, MatchesBruteForceRecount)
     }
     for (Request* req : all) {
       ASSERT_EQ(&tracker.Get(req->meta.id), req);
+    }
+  }
+}
+
+TEST(RequestTrackerPropertyTest, BufferFormClearsStalePointers)
+{
+  RequestTracker tracker;
+  Request& late = tracker.Admit(MakeMeta(0, 0, 300));
+  Request& early = tracker.Admit(MakeMeta(1, 0, 200));
+  Request stranger;
+  std::vector<Request*> buffer = {&stranger, &stranger, &late};
+  tracker.Schedulable(0, &buffer);
+  EXPECT_EQ(buffer, (std::vector<Request*>{&early, &late}));
+
+  tracker.Transition(late, RequestState::kRunning, 1);
+  tracker.Transition(early, RequestState::kFinished, 1);
+  tracker.Schedulable(1, &buffer);
+  EXPECT_TRUE(buffer.empty());
+}
+
+TEST(RequestTrackerPropertyTest, DeepQueueBufferMatchesBruteForce)
+{
+  // A 512-deep queue, so each requeue, admission and erase lands in
+  // the middle of a long sorted run: requeued and admitted requests
+  // must each move into their slot, and erases must keep the rest in
+  // order. One buffer is reused across every call.
+  constexpr int kDepth = 512;
+  constexpr int kSeeds = 4;
+  constexpr int kOpsPerSeed = 1500;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(static_cast<std::uint64_t>(seed));
+    RequestTracker tracker;
+    std::vector<Request*> all;
+    std::vector<Request*> buffer;
+    TimeUs now = 0;
+    RequestId next_id = 0;
+    auto admit = [&]() {
+      const TimeUs deadline =
+          now + 1 + static_cast<TimeUs>(rng.NextBelow(64)) * 25;
+      all.push_back(&tracker.Admit(MakeMeta(next_id++, now, deadline)));
+    };
+    for (int i = 0; i < kDepth; ++i) admit();
+    for (int op = 0; op < kOpsPerSeed; ++op) {
+      const std::uint64_t kind = rng.NextBelow(5);
+      if (kind == 0) {
+        admit();
+      } else if (kind == 1) {
+        if (Request* req = PickInState(all, RequestState::kQueued, &rng)) {
+          tracker.Transition(*req, RequestState::kRunning, now);
+        }
+      } else if (kind == 2) {
+        if (Request* req = PickInState(all, RequestState::kRunning, &rng)) {
+          tracker.Transition(*req, RequestState::kQueued, now);
+        }
+      } else if (kind == 3) {
+        const RequestState from = rng.NextBelow(2) == 0
+                                      ? RequestState::kQueued
+                                      : RequestState::kRunning;
+        if (Request* req = PickInState(all, from, &rng)) {
+          tracker.Transition(*req, PickTerminal(&rng), now);
+        }
+      } else {
+        now += static_cast<TimeUs>(rng.NextBelow(10));
+      }
+
+      tracker.Schedulable(now, &buffer);
+      ASSERT_EQ(buffer, OracleSchedulable(all, now)) << "op " << op;
     }
   }
 }

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
+#include <string>
 
 #include "audit/checkers.h"
 #include "core/tetri_scheduler.h"
@@ -468,6 +470,64 @@ TEST_F(TetriSchedulerTest, PlanIsBitIdenticalWithTracingEnabled)
     EXPECT_EQ(a.assignments[i].requests, b.assignments[i].requests);
     EXPECT_EQ(a.assignments[i].mask, b.assignments[i].mask);
     EXPECT_EQ(a.assignments[i].max_steps, b.assignments[i].max_steps);
+  }
+}
+
+TEST_F(TetriSchedulerTest, MemosFollowRoundWindowAndTableChanges)
+{
+  // The planner memos (staircases, degree info, lower bounds, step
+  // times) persist across rounds, keyed on (table, tau). Interleave two
+  // round windows and swap in another model's table mid-sequence, once
+  // at an unchanged window: every plan must equal the plan of a
+  // scheduler built fresh for that table.
+  const ModelConfig sd3 = ModelConfig::Sd3Medium();
+  const costmodel::StepCostModel sd3_cost(&sd3, &topo_);
+  const LatencyTable sd3_table = LatencyTable::Profile(sd3_cost, 4, 20, 5);
+
+  const Resolution mix[] = {Resolution::k2048, Resolution::k1024,
+                            Resolution::k512, Resolution::k256};
+  for (RequestId id = 0; id < 16; ++id) {
+    Admit(id, mix[id % 4], 0, 0.8 + 0.1 * static_cast<double>(id % 6),
+          20 + static_cast<int>(id % 5) * 10);
+  }
+
+  struct Round {
+    TimeUs now;
+    bool wide;
+    bool swap_table;
+  };
+  const Round rounds[] = {{0, true, false},         {0, false, false},
+                          {400'000, true, false},   {800'000, true, true},
+                          {800'000, false, false},  {1'200'000, true, false},
+                          {1'200'000, false, false}};
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "from scratch");
+    TetriOptions options;
+    options.incremental_replan = incremental;
+    TetriScheduler sched(&table_, options);
+    const TimeUs wide = sched.RoundDurationUs();
+    const TimeUs narrow = wide / 3;
+    const LatencyTable* table = &table_;
+    for (std::size_t i = 0; i < std::size(rounds); ++i) {
+      SCOPED_TRACE("round " + std::to_string(i));
+      if (rounds[i].swap_table) {
+        table = &sd3_table;
+        sched.set_table(table);
+      }
+      auto ctx = MakeContext(rounds[i].now, rounds[i].wide ? wide : narrow);
+      ctx.table = table;
+      TetriScheduler fresh(table, options);
+      const auto got = sched.Plan(ctx);
+      const auto want = fresh.Plan(ctx);
+      ASSERT_FALSE(want.assignments.empty());
+      ASSERT_EQ(got.assignments.size(), want.assignments.size());
+      for (std::size_t a = 0; a < got.assignments.size(); ++a) {
+        EXPECT_EQ(got.assignments[a].requests, want.assignments[a].requests);
+        EXPECT_EQ(got.assignments[a].mask, want.assignments[a].mask);
+        EXPECT_EQ(got.assignments[a].max_steps,
+                  want.assignments[a].max_steps);
+      }
+    }
   }
 }
 
