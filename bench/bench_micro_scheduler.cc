@@ -8,15 +8,13 @@
  * Two modes:
  *  - default: google-benchmark micro suite (BM_*).
  *  - `--json=PATH [--smoke]`: the scheduler regression harness. For a
- *    (queue depth x GPU count) matrix it times the PlanScratch fast
- *    path against the seed reference path (TetriOptions::
- *    reference_plan), cross-checks that both emit identical plans,
- *    and writes p50/p99 latencies plus the median speedup to PATH
+ *    (queue depth x GPU count) matrix it times steady-state Plan()
+ *    calls and writes their p50/p99 latencies to PATH
  *    (BENCH_scheduler.json). `--smoke` shrinks the sample counts for
  *    CI.
  *
  * `--packers` (with `--json=`) appends a packer-matrix block: for each
- * registered Stage-2 packer (dp, staircase, progressive) it measures
+ * registered Stage-2 packer (dp, progressive) it measures
  * Plan() p50 latency at a fixed (depth 64, 8 GPU) cell and SLO
  * attainment on a fragmentation-heavy scenario (one GPU failed for
  * the whole run, 7 healthy; the progressive packer runs with an
@@ -56,7 +54,6 @@
 #include "trace/trace.h"
 
 #include "core/allocation.h"
-#include "core/dp_packer.h"
 #include "core/tetri_scheduler.h"
 #include "costmodel/model_config.h"
 #include "serving/request_tracker.h"
@@ -87,16 +84,16 @@ Fixture& F()
   return fixture;
 }
 
-std::vector<core::PackGroup>
+std::vector<packers::PackGroup>
 RandomGroups(int count, Rng& rng)
 {
-  std::vector<core::PackGroup> groups;
+  std::vector<packers::PackGroup> groups;
   for (int g = 0; g < count; ++g) {
-    core::PackGroup group;
+    packers::PackGroup group;
     group.id = g;
     group.survives_if_idle = rng.NextDouble() < 0.5;
     for (int o = 0; o < 2; ++o) {
-      core::PackOption opt;
+      packers::PackOption opt;
       opt.degree = 1 << rng.NextBelow(4);
       opt.steps = 1 + static_cast<int>(rng.NextBelow(8));
       opt.survives = rng.NextDouble() < 0.7;
@@ -113,26 +110,15 @@ BM_PackRound(benchmark::State& state)
 {
   Rng rng(7);
   auto groups = RandomGroups(static_cast<int>(state.range(0)), rng);
+  packers::PackScratch scratch;
+  packers::PackResult result;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::PackRound(groups, 8));
-  }
-}
-BENCHMARK(BM_PackRound)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-void
-BM_PackRoundScratch(benchmark::State& state)
-{
-  Rng rng(7);
-  auto groups = RandomGroups(static_cast<int>(state.range(0)), rng);
-  core::PackScratch scratch;
-  core::PackResult result;
-  for (auto _ : state) {
-    core::PackRoundInto(groups.data(), static_cast<int>(groups.size()),
-                        8, &scratch, &result);
+    packers::PackRoundInto(groups.data(), static_cast<int>(groups.size()),
+                           8, &scratch, &result);
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_PackRoundScratch)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_PackRound)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 void
 BM_FindPlan(benchmark::State& state)
@@ -148,10 +134,13 @@ BENCHMARK(BM_FindPlan);
 void
 BM_RoundAwarePlan(benchmark::State& state)
 {
-  const auto& table = F().table;
+  std::vector<core::RoundDegreeInfo> info;
+  core::BuildRoundDegreeInfo(F().table, costmodel::Resolution::k2048, 3e5,
+                             &info);
+  core::AllocationPlan plan;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::RoundAwarePlan(
-        table, costmodel::Resolution::k2048, 50, 4.5e6, 3e5));
+    core::RoundAwarePlanInto(info, 50, 4.5e6, 3e5, &plan);
+    benchmark::DoNotOptimize(plan);
   }
 }
 BENCHMARK(BM_RoundAwarePlan);
@@ -295,9 +284,6 @@ struct CellResult {
   int samples = 0;
   double fast_p50_us = 0.0;
   double fast_p99_us = 0.0;
-  double ref_p50_us = 0.0;
-  double ref_p99_us = 0.0;
-  double speedup_p50 = 0.0;
 };
 
 double
@@ -310,9 +296,8 @@ Percentile(std::vector<double>* samples, double p)
 }
 
 /** Time `iters` steady-state Plan() calls, returning per-call wall
- * microseconds. The first `warmup` calls are discarded so the fast
- * path is measured with a warm arena (its contract) and both paths
- * with warm caches of the underlying tables. */
+ * microseconds. The first `warmup` calls are discarded so Plan() is
+ * measured with a warm arena and warm memo caches (its contract). */
 std::vector<double>
 TimePlans(core::TetriScheduler* sched, serving::ScheduleContext* ctx,
           int warmup, int iters)
@@ -338,254 +323,28 @@ CellResult
 RunCell(int depth, int gpus, int warmup, int iters)
 {
   auto& fixture = F();
-  core::TetriOptions ref_opts;
-  ref_opts.reference_plan = true;
-  core::TetriScheduler fast(&fixture.table);
-  core::TetriScheduler ref(&fixture.table, ref_opts);
+  core::TetriScheduler sched(&fixture.table);
 
   serving::RequestTracker tracker;
   FillQueue(&tracker, depth);
   auto schedulable = tracker.Schedulable(0);
   serving::ScheduleContext ctx;
   ctx.now = 0;
-  ctx.round_end = fast.RoundDurationUs();
+  ctx.round_end = sched.RoundDurationUs();
   ctx.free_gpus = cluster::FullMask(gpus);
   ctx.schedulable = &schedulable;
   ctx.topology = &fixture.topo;
   ctx.table = &fixture.table;
 
-  // Guard: both paths must produce identical plans before their
-  // latencies are comparable at all.
-  const auto fast_plan = fast.Plan(ctx);
-  const auto ref_plan = ref.Plan(ctx);
-  TETRI_CHECK_MSG(fast_plan.assignments.size() ==
-                      ref_plan.assignments.size(),
-                  "fast/reference plan divergence at depth " << depth);
-  for (std::size_t i = 0; i < fast_plan.assignments.size(); ++i) {
-    const auto& a = fast_plan.assignments[i];
-    const auto& b = ref_plan.assignments[i];
-    TETRI_CHECK_MSG(a.requests == b.requests && a.mask == b.mask &&
-                        a.max_steps == b.max_steps,
-                    "fast/reference assignment divergence at depth "
-                        << depth << " index " << i);
-  }
-
-  auto fast_samples = TimePlans(&fast, &ctx, warmup, iters);
-  auto ref_samples = TimePlans(&ref, &ctx, warmup, iters);
+  auto samples = TimePlans(&sched, &ctx, warmup, iters);
 
   CellResult cell;
   cell.depth = depth;
   cell.gpus = gpus;
   cell.samples = iters;
-  cell.fast_p50_us = Percentile(&fast_samples, 0.50);
-  cell.fast_p99_us = Percentile(&fast_samples, 0.99);
-  cell.ref_p50_us = Percentile(&ref_samples, 0.50);
-  cell.ref_p99_us = Percentile(&ref_samples, 0.99);
-  cell.speedup_p50 = cell.ref_p50_us / cell.fast_p50_us;
+  cell.fast_p50_us = Percentile(&samples, 0.50);
+  cell.fast_p99_us = Percentile(&samples, 0.99);
   return cell;
-}
-
-// ---------------------------------------------------------------
-// Steady-state churn (--churn, with --json=)
-// ---------------------------------------------------------------
-
-struct ChurnCell {
-  int depth = 0;
-  int gpus = 0;
-  int rounds = 0;
-  int ticks_per_round = 0;
-  double full_p50_us = 0.0;
-  double full_p99_us = 0.0;
-  double inc_p50_us = 0.0;
-  double inc_p99_us = 0.0;
-  double speedup_p50 = 0.0;
-  /** Fraction of Stage-1 slots reused verbatim across the run. */
-  double slot_reuse_frac = 0.0;
-  /** Fraction of plan calls answered from the plan memo. */
-  double memo_hit_frac = 0.0;
-  std::uint64_t incremental_rounds = 0;
-  std::uint64_t full_replans = 0;
-};
-
-/**
- * Single-request churn at a fixed queue depth, planned at sub-round
- * cadence: every round the earliest-deadline request completes at the
- * round boundary (it was dispatched a round earlier) and one new
- * request arrives at a uniformly random planner tick; the planner
- * refreshes the plan for the round in progress `ticks_per_round` times
- * per round, the paced reactive loop the serving runtime runs. All of
- * a round's ticks plan against the round-grid instant (assignments
- * start at boundaries, so that is the instant plans are priced at).
- *
- * Two schedulers plan every tick in lockstep on the same context: the
- * fast path replanning from scratch — it has no way to know whether
- * anything changed, determining that IS the delta machinery — and the
- * incremental replanner (TetriOptions::incremental_replan), which
- * carries Stage-1 slots and DP rows across event ticks and answers
- * provably-unchanged ticks from the plan memo. Their plans are CHECKed
- * bit-identical at every tick before the latencies are recorded, so
- * speedup_p50 is a like-for-like measure of what incremental reuse
- * saves under churn.
- */
-ChurnCell
-RunChurnCell(int depth, int gpus, int warmup, int rounds)
-{
-  constexpr int kTicksPerRound = 8;
-  auto& fixture = F();
-  core::TetriScheduler full(&fixture.table);
-  core::TetriOptions inc_opts;
-  inc_opts.incremental_replan = true;
-  core::TetriScheduler inc(&fixture.table, inc_opts);
-
-  Rng rng(static_cast<std::uint64_t>(depth) * 31 + gpus);
-  serving::RequestTracker tracker;
-  const TimeUs tau = full.RoundDurationUs();
-  TimeUs now = 0;
-  RequestId next_id = 0;
-  // A request spends `depth` rounds in the queue before the conveyor
-  // retires it, so deadlines scale with the residence time: the queue
-  // stays mostly feasible — the provisioned regime the paper targets —
-  // and every round runs real staircase planning, EDF accounting, and
-  // packing rather than degenerating to the all-late fallback.
-  auto admit = [&]() {
-    workload::TraceRequest meta;
-    meta.id = next_id++;
-    meta.resolution = costmodel::ResolutionFromIndex(
-        static_cast<int>(rng.NextBelow(4)));
-    meta.arrival_us = now;
-    meta.deadline_us =
-        now + static_cast<TimeUs>(static_cast<double>(tau) * depth *
-                                  rng.NextRange(1.2, 2.4));
-    meta.num_steps = 50;
-    tracker.Admit(meta);
-  };
-  for (int i = 0; i < depth; ++i) admit();
-
-  using clock = std::chrono::steady_clock;
-  auto time_plan = [&](core::TetriScheduler* sched,
-                       const serving::ScheduleContext& ctx,
-                       serving::RoundPlan* plan) {
-    const auto start = clock::now();
-    *plan = sched->Plan(ctx);
-    const auto stop = clock::now();
-    benchmark::DoNotOptimize(*plan);
-    return std::chrono::duration<double, std::micro>(stop - start)
-        .count();
-  };
-
-  std::vector<double> full_samples;
-  std::vector<double> inc_samples;
-  full_samples.reserve(static_cast<std::size_t>(rounds) *
-                       kTicksPerRound);
-  inc_samples.reserve(static_cast<std::size_t>(rounds) *
-                      kTicksPerRound);
-  for (int r = 0; r < warmup + rounds; ++r) {
-    if (r > 0) {
-      // Round boundary: time advances one round and the request
-      // dispatched last round completes.
-      now += tau;
-      auto done = tracker.Schedulable(now);
-      if (!done.empty()) {
-        tracker.Transition(*done.front(),
-                           serving::RequestState::kFinished, now);
-      }
-    }
-    const int arrival_tick =
-        static_cast<int>(rng.NextBelow(kTicksPerRound));
-    for (int t = 0; t < kTicksPerRound; ++t) {
-      if (t == arrival_tick) admit();
-      auto schedulable = tracker.Schedulable(now);
-      serving::ScheduleContext ctx;
-      ctx.now = now;
-      ctx.round_end = now + tau;
-      ctx.free_gpus = cluster::FullMask(gpus);
-      ctx.schedulable = &schedulable;
-      ctx.topology = &fixture.topo;
-      ctx.table = &fixture.table;
-
-      // Alternate the measurement order to cancel the CPU-cache
-      // warmth the first planner hands the second.
-      serving::RoundPlan full_plan;
-      serving::RoundPlan inc_plan;
-      double full_us;
-      double inc_us;
-      if ((t & 1) == 0) {
-        full_us = time_plan(&full, ctx, &full_plan);
-        inc_us = time_plan(&inc, ctx, &inc_plan);
-      } else {
-        inc_us = time_plan(&inc, ctx, &inc_plan);
-        full_us = time_plan(&full, ctx, &full_plan);
-      }
-
-      // Bit-identity is a precondition of the comparison.
-      TETRI_CHECK_MSG(full_plan.assignments.size() ==
-                          inc_plan.assignments.size(),
-                      "churn plan divergence at depth "
-                          << depth << " round " << r << " tick " << t);
-      for (std::size_t i = 0; i < full_plan.assignments.size(); ++i) {
-        const auto& a = full_plan.assignments[i];
-        const auto& b = inc_plan.assignments[i];
-        TETRI_CHECK_MSG(a.requests == b.requests && a.mask == b.mask &&
-                            a.max_steps == b.max_steps,
-                        "churn assignment divergence at depth "
-                            << depth << " round " << r << " tick " << t
-                            << " index " << i);
-      }
-      if (r >= warmup) {
-        full_samples.push_back(full_us);
-        inc_samples.push_back(inc_us);
-      }
-    }
-  }
-
-  const auto& stats = inc.replan_stats();
-  ChurnCell cell;
-  cell.depth = depth;
-  cell.gpus = gpus;
-  cell.rounds = rounds;
-  cell.ticks_per_round = kTicksPerRound;
-  cell.full_p50_us = Percentile(&full_samples, 0.50);
-  cell.full_p99_us = Percentile(&full_samples, 0.99);
-  cell.inc_p50_us = Percentile(&inc_samples, 0.50);
-  cell.inc_p99_us = Percentile(&inc_samples, 0.99);
-  cell.speedup_p50 = cell.full_p50_us / cell.inc_p50_us;
-  const double slots_total = static_cast<double>(
-      stats.slots_reused + stats.slots_replanned);
-  cell.slot_reuse_frac =
-      slots_total > 0
-          ? static_cast<double>(stats.slots_reused) / slots_total
-          : 0.0;
-  cell.memo_hit_frac =
-      stats.rounds > 0
-          ? static_cast<double>(stats.memo_hits) /
-                static_cast<double>(stats.rounds)
-          : 0.0;
-  cell.incremental_rounds = stats.incremental_rounds;
-  cell.full_replans = stats.full_replans;
-  return cell;
-}
-
-std::vector<ChurnCell>
-RunChurnMatrix(bool smoke)
-{
-  const int warmup = smoke ? 16 : 64;
-  const int rounds = smoke ? 200 : 2000;
-  const int depths[] = {8, 16, 32, 64};
-  std::vector<ChurnCell> cells;
-  std::printf("%8s %6s %12s %12s %12s %12s %9s %7s %7s\n", "depth",
-              "gpus", "full_p50", "full_p99", "inc_p50", "inc_p99",
-              "speedup", "reuse", "memo");
-  for (int depth : depths) {
-    auto cell = RunChurnCell(depth, 8, warmup, rounds);
-    std::printf(
-        "%8d %6d %10.2fus %10.2fus %10.2fus %10.2fus %8.2fx %6.1f%% "
-        "%6.1f%%\n",
-        cell.depth, cell.gpus, cell.full_p50_us, cell.full_p99_us,
-        cell.inc_p50_us, cell.inc_p99_us, cell.speedup_p50,
-        cell.slot_reuse_frac * 100.0, cell.memo_hit_frac * 100.0);
-    cells.push_back(cell);
-  }
-  return cells;
 }
 
 // ---------------------------------------------------------------
@@ -602,7 +361,7 @@ struct PackerCell {
 /** SLO attainment of one packer on the fragmentation scenario: GPU 7
  * down for the whole run, so every round packs into 7 GPUs. The
  * progressive packer runs with non-pow2 degrees (its reason to
- * exist); the DP packers keep the pow2 discipline. Power-of-two
+ * exist); the DP keeps the pow2 discipline. Power-of-two
  * latency cells are bit-identical across the two tables by the
  * extended-profile stream design, so the comparison is fair. */
 PackerCell
@@ -680,8 +439,7 @@ RunPackerMatrix(bool smoke)
 int
 RunRegression(const std::string& json_path, bool smoke,
               const ChaosCycle* chaos,
-              const std::vector<PackerCell>* packers,
-              const std::vector<ChurnCell>* churn)
+              const std::vector<PackerCell>* packers)
 {
   const int warmup = smoke ? 5 : 20;
   const int iters = smoke ? 40 : 400;
@@ -689,15 +447,13 @@ RunRegression(const std::string& json_path, bool smoke,
   const int gpu_counts[] = {2, 4, 8};
 
   std::vector<CellResult> cells;
-  std::printf("%8s %6s %12s %12s %12s %12s %9s\n", "depth", "gpus",
-              "fast_p50", "fast_p99", "ref_p50", "ref_p99", "speedup");
+  std::printf("%8s %6s %12s %12s\n", "depth", "gpus", "fast_p50",
+              "fast_p99");
   for (int gpus : gpu_counts) {
     for (int depth : depths) {
       auto cell = RunCell(depth, gpus, warmup, iters);
-      std::printf("%8d %6d %10.1fus %10.1fus %10.1fus %10.1fus %8.2fx\n",
-                  cell.depth, cell.gpus, cell.fast_p50_us,
-                  cell.fast_p99_us, cell.ref_p50_us, cell.ref_p99_us,
-                  cell.speedup_p50);
+      std::printf("%8d %6d %10.1fus %10.1fus\n", cell.depth, cell.gpus,
+                  cell.fast_p50_us, cell.fast_p99_us);
       cells.push_back(cell);
     }
   }
@@ -716,40 +472,13 @@ RunRegression(const std::string& json_path, bool smoke,
     std::fprintf(out,
                  "    {\"queue_depth\": %d, \"num_gpus\": %d, "
                  "\"samples\": %d, \"fast_p50_us\": %.3f, "
-                 "\"fast_p99_us\": %.3f, \"ref_p50_us\": %.3f, "
-                 "\"ref_p99_us\": %.3f, \"speedup_p50\": %.3f}%s\n",
+                 "\"fast_p99_us\": %.3f}%s\n",
                  c.depth, c.gpus, c.samples, c.fast_p50_us,
-                 c.fast_p99_us, c.ref_p50_us, c.ref_p99_us,
-                 c.speedup_p50, i + 1 < cells.size() ? "," : "");
+                 c.fast_p99_us, i + 1 < cells.size() ? "," : "");
   }
-  const bool has_churn = churn != nullptr && !churn->empty();
   const bool has_packers = packers != nullptr && !packers->empty();
   const bool has_chaos = chaos != nullptr;
-  std::fprintf(out, "  ]%s\n",
-               has_churn || has_packers || has_chaos ? "," : "");
-  if (has_churn) {
-    std::fprintf(out, "  \"churn\": [\n");
-    for (std::size_t i = 0; i < churn->size(); ++i) {
-      const ChurnCell& c = (*churn)[i];
-      std::fprintf(
-          out,
-          "    {\"queue_depth\": %d, \"num_gpus\": %d, "
-          "\"rounds\": %d, \"ticks_per_round\": %d, "
-          "\"full_p50_us\": %.3f, "
-          "\"full_p99_us\": %.3f, \"inc_p50_us\": %.3f, "
-          "\"inc_p99_us\": %.3f, \"speedup_p50\": %.3f, "
-          "\"slot_reuse_frac\": %.4f, \"memo_hit_frac\": %.4f, "
-          "\"incremental_rounds\": %llu, "
-          "\"full_replans\": %llu}%s\n",
-          c.depth, c.gpus, c.rounds, c.ticks_per_round, c.full_p50_us,
-          c.full_p99_us, c.inc_p50_us, c.inc_p99_us, c.speedup_p50,
-          c.slot_reuse_frac, c.memo_hit_frac,
-          static_cast<unsigned long long>(c.incremental_rounds),
-          static_cast<unsigned long long>(c.full_replans),
-          i + 1 < churn->size() ? "," : "");
-    }
-    std::fprintf(out, "  ]%s\n", has_packers || has_chaos ? "," : "");
-  }
+  std::fprintf(out, "  ]%s\n", has_packers || has_chaos ? "," : "");
   if (has_packers) {
     std::fprintf(out, "  \"packers\": [\n");
     for (std::size_t i = 0; i < packers->size(); ++i) {
@@ -812,7 +541,6 @@ main(int argc, char** argv)
   bool smoke = false;
   bool chaos = false;
   bool packers = false;
-  bool churn = false;
   std::uint64_t chaos_seed = 1;
   int fail_gpus = 1;
   for (int i = 1; i < argc; ++i) {
@@ -822,8 +550,6 @@ main(int argc, char** argv)
       smoke = true;
     } else if (std::strcmp(argv[i], "--packers") == 0) {
       packers = true;
-    } else if (std::strcmp(argv[i], "--churn") == 0) {
-      churn = true;
     } else if (std::strncmp(argv[i], "--chaos-seed=", 13) == 0) {
       chaos = true;
       chaos_seed = std::strtoull(argv[i] + 13, nullptr, 10);
@@ -842,15 +568,10 @@ main(int argc, char** argv)
   if (packers) {
     packer_cells = tetri::RunPackerMatrix(smoke);
   }
-  std::vector<tetri::ChurnCell> churn_cells;
-  if (churn) {
-    churn_cells = tetri::RunChurnMatrix(smoke);
-  }
   if (!json_path.empty()) {
     return tetri::RunRegression(json_path, smoke,
                                 chaos ? &cycle : nullptr,
-                                packers ? &packer_cells : nullptr,
-                                churn ? &churn_cells : nullptr);
+                                packers ? &packer_cells : nullptr);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

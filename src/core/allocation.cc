@@ -170,17 +170,6 @@ RoundAwareLowerBoundUs(const std::vector<RoundDegreeInfo>& info,
   return best;
 }
 
-double
-RoundAwareLowerBoundUs(const costmodel::LatencyTable& table,
-                       costmodel::Resolution res, int remaining_steps,
-                       double round_us)
-{
-  if (remaining_steps <= 0) return 0.0;
-  std::vector<RoundDegreeInfo> info;
-  BuildRoundDegreeInfo(table, res, round_us, &info);
-  return RoundAwareLowerBoundUs(info, remaining_steps, round_us);
-}
-
 namespace {
 
 /**
@@ -406,29 +395,12 @@ LookupRoundPlan(const PlanStaircase& staircase,
                 const std::vector<RoundDegreeInfo>& info,
                 double slack_us, AllocationPlan* out)
 {
-  LookupRoundPlan(staircase, info, slack_us, out, nullptr);
-}
-
-void
-LookupRoundPlan(const PlanStaircase& staircase,
-                const std::vector<RoundDegreeInfo>& info,
-                double slack_us, AllocationPlan* out,
-                PlanReuseWindow* window)
-{
   TETRI_CHECK(staircase.built && out != nullptr);
   const auto& thresholds = staircase.thresholds;
   auto it = std::upper_bound(thresholds.begin(), thresholds.end(),
                              slack_us);
   if (it == thresholds.begin()) {
-    // Below every breakpoint: definitely late. Any slack strictly
-    // under thresholds[0] lands here, so the reuse window is
-    // (-inf, thresholds[0]).
-    if (window != nullptr) {
-      window->lo = -std::numeric_limits<double>::infinity();
-      window->hi = thresholds.empty()
-                       ? std::numeric_limits<double>::infinity()
-                       : thresholds.front();
-    }
+    // Below every breakpoint: definitely late.
     const AllocationPlan& fb = staircase.fallback;
     out->segments.assign(fb.segments.begin(), fb.segments.end());
     out->exec_time_us = fb.exec_time_us;
@@ -438,30 +410,8 @@ LookupRoundPlan(const PlanStaircase& staircase,
   }
   const std::size_t idx =
       static_cast<std::size_t>(it - thresholds.begin()) - 1;
-  if (window != nullptr) {
-    // upper_bound maps every slack in [thresholds[idx],
-    // thresholds[idx+1]) to the same winner, and the materialized plan
-    // is a pure function of the winner — so a cached copy is bitwise
-    // exact anywhere in this half-open interval.
-    window->lo = thresholds[idx];
-    window->hi = idx + 1 < thresholds.size()
-                     ? thresholds[idx + 1]
-                     : std::numeric_limits<double>::infinity();
-  }
   MaterializeRoundPlan(info, staircase.candidates[staircase.winners[idx]],
                        out);
-}
-
-AllocationPlan
-RoundAwarePlan(const costmodel::LatencyTable& table,
-               costmodel::Resolution res, int remaining_steps,
-               double slack_us, double round_us)
-{
-  std::vector<RoundDegreeInfo> info;
-  BuildRoundDegreeInfo(table, res, round_us, &info);
-  AllocationPlan plan;
-  RoundAwarePlanInto(info, remaining_steps, slack_us, round_us, &plan);
-  return plan;
 }
 
 AllocationPlan
@@ -474,91 +424,6 @@ FindPlan(const costmodel::LatencyTable& table, costmodel::Resolution res,
                                table.GpuTimeUs(res, k)});
   }
   return FindPlanWithCosts(costs, remaining_steps, slack_us);
-}
-
-AllocationPlan
-ExhaustivePlan(const costmodel::LatencyTable& table,
-               costmodel::Resolution res, int remaining_steps,
-               double slack_us, int buckets)
-{
-  TETRI_CHECK(remaining_steps > 0 && buckets > 0);
-  const std::vector<int>& degrees = table.degrees();
-  const int num_degrees = static_cast<int>(degrees.size());
-
-  const double t_min = table.MinStepTimeUs(res);
-  if (remaining_steps * t_min > slack_us) {
-    AllocationPlan plan;
-    const int k = table.FastestDegree(res);
-    plan.segments.push_back(AllocationSegment{k, remaining_steps});
-    plan.exec_time_us = remaining_steps * table.StepTimeUs(res, k);
-    plan.gpu_time_us = k * plan.exec_time_us;
-    plan.feasible = false;
-    return plan;
-  }
-
-  // Conservative (rounded-up) per-step time in buckets.
-  const double unit = slack_us / buckets;
-  std::vector<int> cost_buckets(num_degrees);
-  std::vector<double> step_time(num_degrees), gpu_time(num_degrees);
-  for (int d = 0; d < num_degrees; ++d) {
-    step_time[d] = table.StepTimeUs(res, degrees[d]);
-    gpu_time[d] = table.GpuTimeUs(res, degrees[d]);
-    cost_buckets[d] =
-        static_cast<int>(std::ceil(step_time[d] / unit - 1e-12));
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::max();
-  // dp[j][t] = min GPU time to schedule j steps within t buckets.
-  std::vector<std::vector<double>> dp(
-      remaining_steps + 1, std::vector<double>(buckets + 1, kInf));
-  for (int t = 0; t <= buckets; ++t) dp[0][t] = 0.0;
-  for (int j = 1; j <= remaining_steps; ++j) {
-    for (int t = 0; t <= buckets; ++t) {
-      for (int d = 0; d < num_degrees; ++d) {
-        if (cost_buckets[d] > t) continue;
-        const double prev = dp[j - 1][t - cost_buckets[d]];
-        if (prev == kInf) continue;
-        dp[j][t] = std::min(dp[j][t], prev + gpu_time[d]);
-      }
-    }
-  }
-
-  TETRI_CHECK(dp[remaining_steps][buckets] < kInf);
-  // Reconstruct degree counts by replaying the transitions.
-  std::vector<int> counts(num_degrees, 0);
-  int t = buckets;
-  for (int j = remaining_steps; j >= 1; --j) {
-    bool found = false;
-    for (int d = 0; d < num_degrees && !found; ++d) {
-      if (cost_buckets[d] > t) continue;
-      const double prev = dp[j - 1][t - cost_buckets[d]];
-      if (prev == kInf) continue;
-      if (std::abs(prev + gpu_time[d] - dp[j][t]) <= 1e-6) {
-        ++counts[d];
-        t -= cost_buckets[d];
-        found = true;
-      }
-    }
-    TETRI_CHECK(found);
-  }
-
-  std::vector<std::pair<int, int>> mix;
-  for (int d = 0; d < num_degrees; ++d) {
-    if (counts[d] > 0) mix.emplace_back(degrees[d], counts[d]);
-  }
-  AllocationPlan plan;
-  for (auto [degree, steps] : mix) {
-    plan.segments.push_back(AllocationSegment{degree, steps});
-    const double ts = table.StepTimeUs(res, degree);
-    plan.exec_time_us += steps * ts;
-    plan.gpu_time_us += steps * degree * ts;
-  }
-  std::sort(plan.segments.begin(), plan.segments.end(),
-            [](const AllocationSegment& a, const AllocationSegment& b) {
-              return a.degree < b.degree;
-            });
-  plan.feasible = plan.exec_time_us <= slack_us + 1e-6;
-  return plan;
 }
 
 }  // namespace tetri::core

@@ -10,9 +10,8 @@
  *
  * Because all steps of a request cost the same, an optimal plan needs
  * at most two distinct degrees (the LP vertex argument; verified
- * against the exhaustive DP in tests). FindPlan enumerates two-degree
- * mixes in O(K^2); ExhaustivePlan is the reference DP used by tests
- * and the ablation bench.
+ * against an exhaustive DP in tests). FindPlan enumerates two-degree
+ * mixes in O(K^2).
  */
 #ifndef TETRI_CORE_ALLOCATION_H
 #define TETRI_CORE_ALLOCATION_H
@@ -81,8 +80,8 @@ AllocationPlan FindPlan(const costmodel::LatencyTable& table,
 /**
  * Per-degree inputs of round-aware planning: the profiled step time
  * and the whole steps fitting one round. These depend only on
- * (resolution, round length), so TetriScheduler's fast path computes
- * them once per resolution per round and replans every queued request
+ * (resolution, round length), so TetriScheduler computes them once
+ * per resolution per round window and replans every queued request
  * against the shared copy instead of re-reading the latency table per
  * entry.
  */
@@ -104,30 +103,20 @@ void BuildRoundDegreeInfo(const costmodel::LatencyTable& table,
                           std::vector<RoundDegreeInfo>* out);
 
 /**
- * Round-aware minimal-GPU-time plan (the production path used by
- * TetriScheduler). Because the round packer admits at most one
- * allocation per request per round, a two-degree mix executes as
- * whole rounds of the fast degree followed by whole rounds of the
- * slow degree, with only the very last segment finishing mid-round.
- * This costing charges that quantization honestly — a 1-step leftover
- * segment costs a full extra round of wall-clock — which FindPlan's
- * continuous model misprices near the deadline.
+ * Round-aware minimal-GPU-time plan over prebuilt degree info (the
+ * production planner of TetriScheduler). Because the round packer
+ * admits at most one allocation per request per round, a two-degree
+ * mix executes as whole rounds of the fast degree followed by whole
+ * rounds of the slow degree, with only the very last segment finishing
+ * mid-round. This costing charges that quantization honestly — a
+ * 1-step leftover segment costs a full extra round of wall-clock —
+ * which FindPlan's continuous model misprices near the deadline.
+ * Writes into @p out, reusing its segment capacity.
  *
- * @param table profiled step times.
- * @param res request resolution.
+ * @param info per-degree costs for the request's resolution.
  * @param remaining_steps steps left (> 0).
  * @param slack_us time until the (VAE-adjusted) deadline.
  * @param round_us the scheduler round length tau.
- */
-AllocationPlan RoundAwarePlan(const costmodel::LatencyTable& table,
-                              costmodel::Resolution res,
-                              int remaining_steps, double slack_us,
-                              double round_us);
-
-/**
- * Allocation-free core of RoundAwarePlan: plans against prebuilt
- * degree info and writes into @p out, reusing its segment capacity.
- * Emits exactly the plan RoundAwarePlan would for the same inputs.
  */
 void RoundAwarePlanInto(const std::vector<RoundDegreeInfo>& info,
                         int remaining_steps, double slack_us,
@@ -138,11 +127,6 @@ void RoundAwarePlanInto(const std::vector<RoundDegreeInfo>& info,
  * quantization: min over degrees of full rounds plus a mid-round
  * finishing tail. Used as the survival lower bound LB_i.
  */
-double RoundAwareLowerBoundUs(const costmodel::LatencyTable& table,
-                              costmodel::Resolution res,
-                              int remaining_steps, double round_us);
-
-/** RoundAwareLowerBoundUs over prebuilt degree info (the fast path). */
 double RoundAwareLowerBoundUs(const std::vector<RoundDegreeInfo>& info,
                               int remaining_steps, double round_us);
 
@@ -198,38 +182,6 @@ void BuildPlanStaircase(const std::vector<RoundDegreeInfo>& info,
 void LookupRoundPlan(const PlanStaircase& staircase,
                      const std::vector<RoundDegreeInfo>& info,
                      double slack_us, AllocationPlan* out);
-
-/**
- * Half-open slack interval [lo, hi) on which a LookupRoundPlan answer
- * is constant: any query with a (clamped) slack inside the window
- * returns a bitwise-identical plan, which is what licenses the
- * incremental replanner to reuse a cached allocation across rounds.
- */
-struct PlanReuseWindow {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/**
- * LookupRoundPlan variant that also reports the reuse window of the
- * returned answer (the staircase interval the slack fell in, or
- * (-inf, thresholds[0]) for the definitely-late fallback).
- * @p window may be null.
- */
-void LookupRoundPlan(const PlanStaircase& staircase,
-                     const std::vector<RoundDegreeInfo>& info,
-                     double slack_us, AllocationPlan* out,
-                     PlanReuseWindow* window);
-
-/**
- * Reference solution: exact DP over (steps x degrees) minimizing GPU
- * time under the slack, with time discretized to @p buckets. Slow;
- * for tests and ablations only.
- */
-AllocationPlan ExhaustivePlan(const costmodel::LatencyTable& table,
-                              costmodel::Resolution res,
-                              int remaining_steps, double slack_us,
-                              int buckets = 2000);
 
 }  // namespace tetri::core
 

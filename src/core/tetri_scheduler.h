@@ -5,7 +5,7 @@
  *
  *  1. runs deadline-aware GPU allocation (allocation.h) to get each
  *     pending request's minimal-GPU-hour candidate allocations;
- *  2. packs requests with the group-knapsack DP (dp_packer.h,
+ *  2. packs requests with the group-knapsack DP (packers/dp_packer.h,
  *     Algorithm 1), maximizing the number of requests that are not
  *     definitely late at the next round start;
  *  3. merges small same-resolution selections via selective
@@ -23,14 +23,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "core/allocation.h"
-#include "core/dp_packer.h"
-#include "core/plan_delta.h"
 #include "costmodel/step_time_cache.h"
 #include "packers/packer.h"
 #include "serving/scheduler.h"
@@ -65,30 +62,16 @@ struct TetriOptions {
   double overload_utilization = 0.95;
   /**
    * Ablation knob: plan with the continuous-time cost model
-   * (FindPlan) instead of round-aware costing (RoundAwarePlan).
+   * (FindPlan) instead of round-aware costing (RoundAwarePlanInto).
    * The continuous model misprices end-of-round idle bubbles and
    * orphan segments; bench_ablation_alloc quantifies the damage.
    */
   bool use_continuous_planner = false;
-  /**
-   * Run Plan() through the seed data path — per-call buffers, direct
-   * latency-table lookups, the nested-vector round-packing DP, and an
-   * O(pendings) GPU recount — instead of the PlanScratch arena fast
-   * path. Both paths share the planning logic and emit bit-identical
-   * RoundPlans; this switch exists for the plan-equivalence tests and
-   * the bench_micro_scheduler speedup measurement.
-   */
-  bool reference_plan = false;
-  /**
-   * Stage-2 packer selection (packers/packer.h). kAuto keeps the
-   * historical behaviour: the flat-arena DP when reference_plan is
-   * off, the nested-vector DP when it is on. Any other value routes
-   * Stage 2 through the named registered packer on both data paths.
-   */
-  packers::PackerKind packer = packers::PackerKind::kAuto;
+  /** Stage-2 packer (packers/packer.h); the DP reproduces the paper. */
+  packers::PackerKind packer = packers::PackerKind::kDp;
   /**
    * Minimum pack utilization enforced by the progressive packer
-   * (SET-style admission bound); ignored by the DP packers.
+   * (SET-style admission bound); ignored by the DP.
    */
   double packer_min_utilization = 0.5;
   /**
@@ -98,15 +81,6 @@ struct TetriOptions {
    * table only has pow2 cells to plan with).
    */
   bool allow_non_pow2 = false;
-  /**
-   * Carry Stage-1 staircase answers and Stage-2 DP value rows across
-   * rounds, recomputing only what each round's delta touched
-   * (plan_delta.h). Plans are bit-identical to
-   * from-scratch planning — every reuse is proven exact or the round
-   * falls back to a full replan. Requires the round-aware fast path
-   * (incompatible with reference_plan and use_continuous_planner).
-   */
-  bool incremental_replan = false;
 };
 
 /** The TetriServe policy. */
@@ -143,10 +117,8 @@ class TetriScheduler : public serving::Scheduler {
 
   /**
    * Swap the latency table and/or planning options mid-run. Re-derives
-   * the round duration, rebuilds the packer, rebinds every table-keyed
-   * cache, and — when incremental_replan is on — forces the next round
-   * to a full replan (ReplanReason::kTableChanged /
-   * kOptionsChanged). The same consistency rules as construction
+   * the round duration, rebuilds the packer, and rebinds every
+   * table-keyed cache. The same consistency rules as construction
    * apply (allow_non_pow2 must match the table's extended_degrees).
    */
   void Reconfigure(const costmodel::LatencyTable* table,
@@ -160,12 +132,6 @@ class TetriScheduler : public serving::Scheduler {
     Reconfigure(table_, options);
   }
 
-  /** Cumulative incremental-replanning counters (plan_delta.h); all
-   * zero unless incremental_replan is on. */
-  const ReplanStats& replan_stats() const { return replan_.stats; }
-  /** The delta of the most recent incremental round. */
-  const PlanDelta& last_plan_delta() const { return replan_.delta; }
-
   /**
    * Round duration rule (§4.2.2): granularity x the step time of the
    * reference resolution (1024px) at its most GPU-efficient degree.
@@ -177,9 +143,8 @@ class TetriScheduler : public serving::Scheduler {
   /** Working entry for one schedulable request within Plan. */
   struct Entry {
     serving::Request* request = nullptr;
-    /** Stage-1 answer; points into scratch_.allocs (from-scratch
-     * rounds) or into the request's ReplanSlot (incremental reuse). */
-    AllocationPlan* alloc = nullptr;
+    /** Stage-1 answer; its segment buffer is reused across rounds. */
+    AllocationPlan alloc;
     double slack_us = 0.0;   // deadline - vae - now
     bool late = false;       // definitely late already
     int chosen_degree = 0;   // 0 = not selected
@@ -204,15 +169,15 @@ class TetriScheduler : public serving::Scheduler {
 
   /**
    * Reusable planning arena (§4.2.2 "cheap enough to rerun every
-   * round" made literal): entry/group/pending buffers, the flat DP
-   * scratch, per-resolution round degree info, and the memoized
-   * step-time cache. Buffers only grow; once the queue-depth
-   * high-water mark is reached, a Plan() call performs no heap
-   * allocation beyond the emitted RoundPlan itself.
+   * round" made literal): entry/group/pending buffers,
+   * per-resolution round degree info, and the memoized step-time
+   * cache (the DP's own arena lives in the packer). Buffers only grow;
+   * once the queue-depth high-water mark is reached, a Plan() call
+   * performs no heap allocation beyond the emitted RoundPlan itself.
    */
   struct PlanScratch {
     std::vector<Entry> entries;
-    std::vector<PackGroup> groups;  // active prefix: num_groups
+    std::vector<packers::PackGroup> groups;  // active prefix: num_groups
     std::vector<int> group_entry;   // group index -> entry index
     std::vector<Pending> pendings;  // active prefix: num_pendings
     std::vector<Entry*> edf;
@@ -242,30 +207,13 @@ class TetriScheduler : public serving::Scheduler {
     // Degree info filtered to a request's degree_cap (degraded-SP
     // failure retries). Per-request, so it cannot share the
     // per-resolution cache or the staircase; rebuilt on demand for the
-    // rare capped request, identically on both data paths.
+    // rare capped request.
     std::vector<RoundDegreeInfo> capped_info;
-    /** Stage-1 plan storage for non-incremental rounds (entries hold
-     * pointers so the incremental path can alias its slot cache). */
-    std::vector<AllocationPlan> allocs;
-    PackScratch pack;
-    /** Persistent full DP tables for incremental rounds (kAuto). */
-    packers::PackIncrementalScratch pack_inc;
-    PackResult packed;
+    packers::PackResult packed;
     costmodel::StepTimeCache step_cache;
   };
 
   double EffectiveDeadlineUs(const serving::Request& req) const;
-  int StepsInRound(costmodel::Resolution res, int degree, int batch,
-                   double window_us) const;
-
-  /**
-   * Per-degree costs adjusted for round quantization: a degree whose
-   * raw step time is T completes q = floor(tau/T) steps per round, so
-   * its *effective* per-step wall time is tau/q. Planning with these
-   * keeps deadline math honest about end-of-round idle bubbles.
-   */
-  std::vector<DegreeCost> RoundEffectiveCosts(costmodel::Resolution res,
-                                              double tau) const;
 
   /** Shared construction/Reconfigure validation and cache rebinding. */
   void ApplyConfig();
@@ -273,15 +221,9 @@ class TetriScheduler : public serving::Scheduler {
   const costmodel::LatencyTable* table_;
   TetriOptions options_;
   TimeUs round_us_;
-  /** Non-null iff options_.packer != kAuto; owns the Stage-2 packer. */
+  /** The Stage-2 packer selected by options_.packer. */
   std::unique_ptr<packers::RoundPacker> packer_;
   PlanScratch scratch_;
-  /** Cross-round incremental replanning state (plan_delta.h). */
-  ReplanState replan_;
-  /** Bumped by Reconfigure when the table / the options change; the
-   * replanner full-replans on any generation it has not seen. */
-  std::uint64_t table_gen_ = 0;
-  std::uint64_t options_gen_ = 0;
   trace::TraceSink* trace_ = nullptr;
   /** Ordinal of the round being planned; -1 before the first. */
   std::int32_t round_seq_ = -1;

@@ -58,26 +58,26 @@ struct PackResult {
  * packings covering the same options in different orders can differ by
  * floating-point rounding noise. All tie-breaking on work goes through
  * this predicate: values within a relative 1e-9 band are equal, so the
- * DP, the exhaustive reference, and any replayed accumulation order
+ * DP, any independent oracle, and any replayed accumulation order
  * agree on which packings tie.
  */
 bool WorkNearlyEqual(double a, double b);
 
 /**
- * The single packing comparator shared by PackRound,
- * PackRoundReference, and PackRoundExhaustive: survivors descending,
- * then work descending (epsilon ties via WorkNearlyEqual), then width
- * ascending. Returns true when (survivors_a, work_a, width_a) is
- * strictly better.
+ * The single packing comparator shared by the DP and every packer
+ * that scores packings: survivors descending, then work descending
+ * (epsilon ties via WorkNearlyEqual), then width ascending. Returns
+ * true when (survivors_a, work_a, width_a) is strictly better.
  */
 bool PackValueBetter(int survivors_a, double work_a, int width_a,
                      int survivors_b, double work_b, int width_b);
 
 /**
- * Reusable DP arena for PackRound. Holds the flat value row pair and
- * the full parent tables as single contiguous allocations that are
- * only regrown when (groups, capacity) exceeds every previous round's
- * shape — a steady-state Plan() call performs no DP allocations.
+ * Reusable DP arena for PackRoundInto. Holds the flat value row pair
+ * and the full parent tables as single contiguous allocations that
+ * are only regrown when (groups, capacity) exceeds every previous
+ * round's shape — a steady-state Plan() call performs no DP
+ * allocations.
  */
 struct PackScratch {
   /** Ensure capacity for @p num_groups groups and @p capacity GPUs. */
@@ -94,76 +94,14 @@ struct PackScratch {
 };
 
 /**
- * Solve the per-round group knapsack over @p capacity GPUs.
+ * Solve the per-round group knapsack over the first @p num_groups
+ * entries of @p groups (a reusable buffer may hold stale tails) and
+ * @p capacity GPUs, writing the chosen option per group into
+ * @p result and reusing its choice-vector capacity.
  * O(R * capacity * max|options|) time, O(R * capacity) space.
- * The overload taking a PackScratch reuses its buffers across calls
- * (the TetriScheduler hot path); the two-argument form allocates a
- * local scratch. Both return identical results.
- */
-PackResult PackRound(const std::vector<PackGroup>& groups, int capacity);
-PackResult PackRound(const std::vector<PackGroup>& groups, int capacity,
-                     PackScratch* scratch);
-
-/**
- * Allocation-free core: packs the first @p num_groups entries of
- * @p groups (a reusable buffer may hold stale tails) and writes the
- * result into @p result, reusing its choice-vector capacity.
  */
 void PackRoundInto(const PackGroup* groups, int num_groups, int capacity,
                    PackScratch* scratch, PackResult* result);
-
-/**
- * The seed vector-of-vectors DP kept verbatim as a differential
- * reference: allocates its three (G+1)x(C+1) tables per call. Tests
- * (and TetriOptions::reference_plan) pin the arena fast path to this
- * implementation bit for bit.
- */
-PackResult PackRoundReference(const std::vector<PackGroup>& groups,
-                              int capacity);
-
-/**
- * Persistent full DP value tables for incremental packing: unlike
- * PackScratch's two rolling rows, every (group prefix, width) value is
- * kept across calls so a later call whose leading groups are unchanged
- * can resume the DP mid-table. Invalidation is shape-based: a capacity
- * change discards everything, and valid_groups tracks how many rows
- * the previous call left trustworthy.
- */
-struct PackIncrementalScratch {
-  // Full (num_groups + 1) x (capacity + 1) tables, row-major.
-  std::vector<int> survivors;
-  std::vector<double> work;
-  std::vector<int> width;
-  std::vector<int> parent;
-  std::vector<int> parent_c;
-  /** Rows [0, valid_groups] match the previous call's group prefix. */
-  int valid_groups = -1;
-  /** Row width the tables are laid out for (-1 = empty). */
-  int capacity = -1;
-};
-
-/**
- * Incremental PackRoundInto: identical output, but DP rows for the
- * first @p num_clean groups are restored from @p scratch instead of
- * recomputed. The caller guarantees groups[0, num_clean) are byte-wise
- * identical (SamePackGroup) to the same positions of the previous call
- * on this scratch; num_clean is clamped to what the scratch actually
- * holds, and a capacity change falls back to a full recompute, so a
- * conservative caller can always pass 0. Recomputed rows use the exact
- * PackRoundInto update order and comparator — results are bit-identical
- * to a from-scratch pack by induction over rows.
- */
-void PackRoundIncrementalInto(const PackGroup* groups, int num_groups,
-                              int capacity, int num_clean,
-                              PackIncrementalScratch* scratch,
-                              PackResult* result);
-
-/**
- * Reference exhaustive packer for tests: enumerates every choice
- * combination. Exponential — only for small instances.
- */
-PackResult PackRoundExhaustive(const std::vector<PackGroup>& groups,
-                               int capacity);
 
 }  // namespace tetri::packers
 

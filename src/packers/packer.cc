@@ -7,59 +7,18 @@ namespace tetri::packers {
 
 namespace {
 
-/** The DP on the seed data path: per-call nested-vector tables. */
+/** The group-knapsack DP; its arena is reused across calls. */
 class DpPacker final : public RoundPacker {
  public:
   std::string_view name() const override { return "dp"; }
 
   void Pack(const PackGroup* groups, int num_groups, int capacity,
             PackResult* result) override {
-    const std::vector<PackGroup> copy(groups, groups + num_groups);
-    *result = PackRoundReference(copy, capacity);
-  }
-
-  void PackIncremental(const PackGroup* groups, int num_groups,
-                       int capacity, int num_clean,
-                       PackResult* result) override {
-    // Bit-identical to PackRoundReference: the incremental engine
-    // replays the same update order over persistent full tables.
-    PackRoundIncrementalInto(groups, num_groups, capacity, num_clean,
-                             &inc_scratch_, result);
-  }
-
- private:
-  PackIncrementalScratch inc_scratch_;
-};
-
-/** The DP on the flat-arena fast path; scratch reused across calls. */
-class StaircasePacker final : public RoundPacker {
- public:
-  std::string_view name() const override { return "staircase"; }
-
-  void Pack(const PackGroup* groups, int num_groups, int capacity,
-            PackResult* result) override {
     PackRoundInto(groups, num_groups, capacity, &scratch_, result);
-  }
-
-  void PackIncremental(const PackGroup* groups, int num_groups,
-                       int capacity, int num_clean,
-                       PackResult* result) override {
-    // No reusable prefix: the rolling two-row DP beats refilling the
-    // persistent full tables, and both are bit-identical by
-    // construction. Invalidate the tables; they rebuild the next time
-    // a clean prefix exists.
-    if (num_clean > 0) {
-      PackRoundIncrementalInto(groups, num_groups, capacity, num_clean,
-                               &inc_scratch_, result);
-    } else {
-      PackRoundInto(groups, num_groups, capacity, &scratch_, result);
-      inc_scratch_.valid_groups = 0;
-    }
   }
 
  private:
   PackScratch scratch_;
-  PackIncrementalScratch inc_scratch_;
 };
 
 }  // namespace
@@ -68,9 +27,7 @@ std::string_view
 PackerKindName(PackerKind kind)
 {
   switch (kind) {
-    case PackerKind::kAuto: return "auto";
     case PackerKind::kDp: return "dp";
-    case PackerKind::kStaircase: return "staircase";
     case PackerKind::kProgressive: return "progressive";
   }
   return "unknown";
@@ -79,9 +36,7 @@ PackerKindName(PackerKind kind)
 std::optional<PackerKind>
 PackerKindFromName(std::string_view name)
 {
-  if (name == "auto") return PackerKind::kAuto;
   if (name == "dp") return PackerKind::kDp;
-  if (name == "staircase") return PackerKind::kStaircase;
   if (name == "progressive") return PackerKind::kProgressive;
   return std::nullopt;
 }
@@ -89,16 +44,13 @@ PackerKindFromName(std::string_view name)
 std::vector<std::string_view>
 RegisteredPackerNames()
 {
-  return {"dp", "staircase", "progressive"};
+  return {"dp", "progressive"};
 }
 
 std::unique_ptr<RoundPacker>
 MakePacker(PackerKind kind, PackerOptions options)
 {
   switch (kind) {
-    case PackerKind::kAuto:
-    case PackerKind::kStaircase:
-      return std::make_unique<StaircasePacker>();
     case PackerKind::kDp:
       return std::make_unique<DpPacker>();
     case PackerKind::kProgressive: {

@@ -8,11 +8,9 @@
  * the group-knapsack DP; this interface makes the policy pluggable so
  * alternative packers — notably the SET-style utilization-driven
  * progressive-filling packer (progressive.h) — can be compared on the
- * exact same inputs. Three implementations are registered:
+ * exact same inputs. Two implementations are registered:
  *
- *   "dp"          the seed nested-vector DP (PackRoundReference);
- *   "staircase"   the flat-arena DP fast path (PackRoundInto) —
- *                 bit-identical results to "dp", different data path;
+ *   "dp"          the group-knapsack DP (PackRoundInto), the default;
  *   "progressive" utilization-driven progressive filling with a
  *                 min-utilization bound and support for
  *                 non-power-of-two degrees (heuristic: feasible but
@@ -36,13 +34,8 @@ namespace tetri::packers {
 
 /** Which Stage-2 packer TetriScheduler runs. */
 enum class PackerKind {
-  /** Historical behaviour: the DP on whichever data path
-   * TetriOptions::reference_plan selects. */
-  kAuto = 0,
-  /** The seed nested-vector DP (PackRoundReference). */
-  kDp,
-  /** The flat-arena DP fast path (PackRoundInto). */
-  kStaircase,
+  /** The group-knapsack DP (PackRoundInto). */
+  kDp = 0,
   /** SET-style progressive filling (progressive.h). */
   kProgressive,
 };
@@ -64,7 +57,7 @@ class RoundPacker {
  public:
   virtual ~RoundPacker() = default;
 
-  /** Registry name ("dp", "staircase", "progressive"). */
+  /** Registry name ("dp", "progressive"). */
   virtual std::string_view name() const = 0;
 
   /**
@@ -77,39 +70,18 @@ class RoundPacker {
    */
   virtual void Pack(const PackGroup* groups, int num_groups,
                     int capacity, PackResult* result) = 0;
-
-  /**
-   * Optional incremental entry point used by the incremental
-   * replanner: the caller certifies that groups[0, num_clean) are
-   * byte-identical to the same positions of this packer's previous
-   * PackIncremental call. Implementations may resume cached per-prefix
-   * state but MUST return exactly what Pack() would on the full input
-   * — the replan differential harness holds them to it. The default
-   * ignores the hint and packs from scratch (the progressive packer's
-   * fallback); the DP packers override it with persistent full value
-   * tables.
-   */
-  virtual void PackIncremental(const PackGroup* groups, int num_groups,
-                               int capacity, int num_clean,
-                               PackResult* result) {
-    (void)num_clean;
-    Pack(groups, num_groups, capacity, result);
-  }
 };
 
-/** Display name of a kind ("auto" for kAuto). */
+/** Registry name of a kind. */
 std::string_view PackerKindName(PackerKind kind);
 
-/** Parse a registry name (or "auto"); nullopt for unknown names. */
+/** Parse a registry name; nullopt for unknown names. */
 std::optional<PackerKind> PackerKindFromName(std::string_view name);
 
-/** Names of all registered concrete packers (excludes "auto"). */
+/** Names of all registered packers. */
 std::vector<std::string_view> RegisteredPackerNames();
 
-/**
- * Construct a packer. kAuto resolves to the staircase fast path (the
- * default data path of TetriScheduler).
- */
+/** Construct a packer. */
 std::unique_ptr<RoundPacker> MakePacker(PackerKind kind,
                                         PackerOptions options = {});
 

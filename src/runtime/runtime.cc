@@ -724,9 +724,8 @@ ServingRuntime::PlanOnce(TimeUs now)
   // the scheduler sees the survivors (same shape as the serving tick).
   // The queued list is carried across rounds in (deadline, id) order —
   // maintained at every state transition rather than rebuilt and
-  // re-sorted here — so a tick over an unchanged queue hands the
-  // scheduler an unchanged schedulable sequence, the delta shape the
-  // incremental replanner's plan memo answers without replanning.
+  // re-sorted here — so the scheduler sees the queue in deadline order
+  // without a sort per tick.
   // Requests inside a retry-backoff window are invisible this round;
   // their gate is the planner's next timed wake.
   snapshot_.clear();

@@ -15,7 +15,7 @@
  *
  * Exactly one planner thread owns all scheduling state (request
  * store, free-GPU mask, the Scheduler itself), so TetriScheduler's
- * single-threaded PlanScratch fast path runs unchanged and unlocked.
+ * single-threaded PlanScratch arena runs unchanged and unlocked.
  * Each planner round: drain completions, drain admissions fairly
  * across tenants, apply the feasibility gate and drop policy to ONE
  * schedulable snapshot, invoke Scheduler::Plan on the survivors
@@ -461,10 +461,9 @@ class ServingRuntime {
    * All kQueued requests, kept sorted by (deadline, id) — maintained
    * incrementally at every state transition (admission, dispatch,
    * requeue, terminal) instead of rebuilt and re-sorted per planner
-   * tick. The tick filters this carried list into `snapshot_`, so an
-   * unchanged queue reaches the scheduler as an unchanged schedulable
-   * sequence — exactly the delta shape the incremental replanner's
-   * plan memo answers without replanning.
+   * tick. The tick filters this carried list into `snapshot_`, so the
+   * scheduler always receives its queue in deadline order without
+   * paying a sort per tick.
    */
   std::vector<QueuedRef> queued_;
   /** GPUs not executing anything (planner's view). */

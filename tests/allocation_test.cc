@@ -13,6 +13,7 @@
 #include "cluster/gpu_set.h"
 #include "core/allocation.h"
 #include "costmodel/model_config.h"
+#include "oracle/allocation.h"
 
 namespace tetri::core {
 namespace {
@@ -22,6 +23,9 @@ using costmodel::LatencyTable;
 using costmodel::ModelConfig;
 using costmodel::Resolution;
 using cluster::Topology;
+using oracle::ExhaustivePlan;
+using oracle::RoundAwareLowerBoundUs;
+using oracle::RoundAwarePlan;
 
 class AllocationTest : public ::testing::Test {
  protected:

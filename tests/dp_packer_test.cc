@@ -1,18 +1,35 @@
 /**
  * @file
  * Round-packing DP tests (Algorithm 1): correctness against the
- * exhaustive reference on randomized instances (property sweep),
- * capacity invariants, group constraint, tie-break behaviour.
+ * independent oracles (oracle::PackRoundReference bit for bit,
+ * oracle::PackRoundExhaustive on the objective) on randomized
+ * instances, capacity invariants, group constraint, tie-break
+ * behaviour.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/dp_packer.h"
+#include "oracle/packing.h"
+#include "packers/dp_packer.h"
 #include "util/rng.h"
 
-namespace tetri::core {
+namespace tetri::packers {
 namespace {
+
+using oracle::PackRoundExhaustive;
+using oracle::PackRoundReference;
+
+/** The production DP on a fresh arena. */
+PackResult
+Pack(const std::vector<PackGroup>& groups, int capacity)
+{
+  PackScratch scratch;
+  PackResult result;
+  PackRoundInto(groups.data(), static_cast<int>(groups.size()), capacity,
+                &scratch, &result);
+  return result;
+}
 
 PackGroup
 MakeGroup(RequestId id, bool survives_idle,
@@ -34,7 +51,7 @@ MakeGroup(RequestId id, bool survives_idle,
 
 TEST(PackRoundTest, EmptyInput)
 {
-  auto result = PackRound({}, 8);
+  auto result = Pack({}, 8);
   EXPECT_EQ(result.survivors, 0);
   EXPECT_EQ(result.gpus_used, 0);
   EXPECT_TRUE(result.choice.empty());
@@ -42,7 +59,7 @@ TEST(PackRoundTest, EmptyInput)
 
 TEST(PackRoundTest, SingleUrgentRequestRuns)
 {
-  auto result = PackRound(
+  auto result = Pack(
       {MakeGroup(0, false, {{2, 3, true, 1.0}})}, 8);
   EXPECT_EQ(result.survivors, 1);
   EXPECT_EQ(result.choice[0], 0);
@@ -57,14 +74,14 @@ TEST(PackRoundTest, CapacityForcesSacrifice)
       MakeGroup(0, false, {{8, 5, true, 1.0}}),
       MakeGroup(1, false, {{8, 5, true, 1.0}}),
   };
-  auto result = PackRound(groups, 8);
+  auto result = Pack(groups, 8);
   EXPECT_EQ(result.survivors, 1);
   EXPECT_EQ(result.gpus_used, 8);
 }
 
 TEST(PackRoundTest, NoneIsChosenWhenNothingFits)
 {
-  auto result = PackRound(
+  auto result = Pack(
       {MakeGroup(0, true, {{8, 5, true, 1.0}})}, 4);
   EXPECT_EQ(result.choice[0], -1);
   EXPECT_EQ(result.survivors, 1);  // survives idle
@@ -73,14 +90,14 @@ TEST(PackRoundTest, NoneIsChosenWhenNothingFits)
 TEST(PackRoundTest, PrefersHigherWorkOnSurvivorTie)
 {
   // Both options survive; work tie-break picks the steeper one.
-  auto result = PackRound(
+  auto result = Pack(
       {MakeGroup(0, true, {{4, 3, true, 1.0}, {8, 5, true, 2.0}})}, 8);
   EXPECT_EQ(result.choice[0], 1);
 }
 
 TEST(PackRoundTest, PrefersFewerGpusOnFullTie)
 {
-  auto result = PackRound(
+  auto result = Pack(
       {MakeGroup(0, true, {{4, 3, true, 1.0}, {8, 3, true, 1.0}})}, 8);
   EXPECT_EQ(result.choice[0], 0);
 }
@@ -92,7 +109,7 @@ TEST(PackRoundTest, UrgentBeatsRelaxedUnderContention)
       MakeGroup(0, false, {{8, 5, true, 1.0}}),
       MakeGroup(1, true, {{8, 5, true, 0.2}}),
   };
-  auto result = PackRound(groups, 8);
+  auto result = Pack(groups, 8);
   EXPECT_EQ(result.choice[0], 0);
   EXPECT_EQ(result.choice[1], -1);
   EXPECT_EQ(result.survivors, 2);
@@ -126,7 +143,7 @@ TEST(PackRoundTest, NearTieWorkPrefersFewerGpus)
   // the wide option's infinitesimally larger work would win; under the
   // shared epsilon comparator the tie falls through to GPU economy.
   const double w = 0.9;
-  auto result = PackRound(
+  auto result = Pack(
       {MakeGroup(0, true,
                  {{4, 3, true, std::nextafter(w, 1.0)}, {2, 3, true, w}})},
       8);
@@ -136,7 +153,7 @@ TEST(PackRoundTest, NearTieWorkPrefersFewerGpus)
 
 TEST(PackRoundTest, ZeroCapacityRunsNothing)
 {
-  auto result = PackRound(
+  auto result = Pack(
       {MakeGroup(0, false, {{1, 1, true, 1.0}})}, 0);
   EXPECT_EQ(result.choice[0], -1);
   EXPECT_EQ(result.survivors, 0);
@@ -168,7 +185,7 @@ TEST_P(PackerEquivalenceSweep, MatchesExhaustive)
     groups.push_back(std::move(group));
   }
 
-  auto dp = PackRound(groups, capacity);
+  auto dp = Pack(groups, capacity);
   auto exhaustive = PackRoundExhaustive(groups, capacity);
 
   // Same primary objective value; same tie-break value.
@@ -176,8 +193,8 @@ TEST_P(PackerEquivalenceSweep, MatchesExhaustive)
   EXPECT_NEAR(dp.work, exhaustive.work, 1e-9);
   EXPECT_LE(dp.gpus_used, capacity);
 
-  // The flat-arena DP must be bit-identical to the seed nested-vector
-  // implementation — same choices, same accumulated values.
+  // The production DP must be bit-identical to the seed nested-vector
+  // oracle — same choices, same accumulated values.
   auto ref = PackRoundReference(groups, capacity);
   EXPECT_EQ(dp.choice, ref.choice);
   EXPECT_EQ(dp.survivors, ref.survivors);
@@ -239,7 +256,7 @@ TEST_P(PackerNearTieSweep, ImplementationsAgreeOnTies)
     groups.push_back(std::move(group));
   }
 
-  auto dp = PackRound(groups, capacity);
+  auto dp = Pack(groups, capacity);
   auto ref = PackRoundReference(groups, capacity);
   auto exhaustive = PackRoundExhaustive(groups, capacity);
 
@@ -260,4 +277,4 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, PackerNearTieSweep,
                          ::testing::Range(1, 80));
 
 }  // namespace
-}  // namespace tetri::core
+}  // namespace tetri::packers

@@ -1,25 +1,25 @@
 /**
  * @file
  * Packer differential-testing harness (the proof obligation for
- * tetri::packers): every registered Stage-2 packer — the seed DP
- * ("dp"), the flat-arena DP ("staircase"), and the SET-style
- * progressive-filling heuristic ("progressive") — runs on the same
- * generated workloads and must satisfy cross-packer invariants:
+ * tetri::packers): every registered Stage-2 packer — the
+ * group-knapsack DP ("dp") and the SET-style progressive-filling
+ * heuristic ("progressive") — runs on the same generated workloads
+ * and must satisfy cross-packer invariants:
  *
  *  - feasibility: choice indices valid, gpus_used == sum of chosen
  *    degrees <= capacity, survivors/running/work accounting exact;
- *  - "dp" and "staircase" agree bit for bit (they are one algorithm on
- *    two data paths);
+ *  - "dp" agrees bit for bit with oracle::PackRoundReference, the seed
+ *    nested-vector DP kept as an independent test oracle;
  *  - progressive survivors never exceed the DP's (the DP is
- *    survivor-optimal, which PackRoundExhaustive re-proves on small
- *    instances);
+ *    survivor-optimal, which oracle::PackRoundExhaustive re-proves on
+ *    small instances);
  *  - progressive at min_utilization = 0 is a greedy fixpoint: no
  *    single widening move that fits the leftover capacity improves
  *    (survival, then work) — the no-waste invariant;
  *  - progressive at min_utilization > 0 either meets the utilization
  *    bound or has shed down to at most one running group;
- *  - at the scheduler level, TetriOptions::packer = kDp/kStaircase
- *    reproduces the built-in Stage 2 assignment for assignment, and a
+ *  - at the scheduler level, an explicit TetriOptions::packer = kDp
+ *    reproduces the default scheduler assignment for assignment, and a
  *    progressive scheduler serves full traces (pow2 and non-pow2)
  *    with a clean audit: GPUs never overlap, every admitted request
  *    reaches a terminal state, deadlines accounting holds.
@@ -43,6 +43,7 @@
 #include "chaos/chaos.h"
 #include "core/tetri_scheduler.h"
 #include "costmodel/model_config.h"
+#include "oracle/packing.h"
 #include "packers/packer.h"
 #include "packers/progressive.h"
 #include "serving/request_tracker.h"
@@ -228,7 +229,6 @@ RunDifferentialCase(const SweepCase& sweep_case)
   const int n = static_cast<int>(inst.groups.size());
 
   auto dp = MakePacker(PackerKind::kDp);
-  auto staircase = MakePacker(PackerKind::kStaircase);
   PackerOptions greedy_opts;
   greedy_opts.min_utilization = 0.0;
   auto progressive_greedy = MakePacker(PackerKind::kProgressive,
@@ -237,16 +237,12 @@ RunDifferentialCase(const SweepCase& sweep_case)
   bounded_opts.min_utilization = 0.5;
   auto progressive_bounded = MakePacker(PackerKind::kProgressive,
                                         bounded_opts);
-  ASSERT_TRUE(dp && staircase && progressive_greedy &&
-              progressive_bounded);
+  ASSERT_TRUE(dp && progressive_greedy && progressive_bounded);
 
   PackResult dp_result;
-  PackResult staircase_result;
   PackResult greedy_result;
   PackResult bounded_result;
   dp->Pack(inst.groups.data(), n, inst.capacity, &dp_result);
-  staircase->Pack(inst.groups.data(), n, inst.capacity,
-                  &staircase_result);
   progressive_greedy->Pack(inst.groups.data(), n, inst.capacity,
                            &greedy_result);
   progressive_bounded->Pack(inst.groups.data(), n, inst.capacity,
@@ -254,12 +250,12 @@ RunDifferentialCase(const SweepCase& sweep_case)
 
   // Invariant 1: every packer's result is feasible and accounted.
   ValidateResult(inst, dp_result, "dp");
-  ValidateResult(inst, staircase_result, "staircase");
   ValidateResult(inst, greedy_result, "progressive(min_util=0)");
   ValidateResult(inst, bounded_result, "progressive(min_util=0.5)");
 
-  // Invariant 2: the two DP data paths are one algorithm.
-  ExpectBitIdentical(dp_result, staircase_result);
+  // Invariant 2: the DP matches the seed nested-vector oracle.
+  ExpectBitIdentical(dp_result,
+                     oracle::PackRoundReference(inst.groups, inst.capacity));
 
   // Invariant 3: the DP is survivor-optimal, so the heuristic can
   // never beat it.
@@ -279,7 +275,7 @@ RunDifferentialCase(const SweepCase& sweep_case)
   // the DP on the full objective and upper-bounds the heuristic.
   if (n <= 6 && inst.capacity <= 8) {
     const PackResult exhaustive =
-        PackRoundExhaustive(inst.groups, inst.capacity);
+        oracle::PackRoundExhaustive(inst.groups, inst.capacity);
     EXPECT_EQ(dp_result.survivors, exhaustive.survivors);
     EXPECT_TRUE(WorkNearlyEqual(dp_result.work, exhaustive.work))
         << "dp work " << dp_result.work << " vs exhaustive "
@@ -338,7 +334,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PackerDifferential,
 TEST(PackerRegistry, NamesRoundTrip)
 {
   const auto names = RegisteredPackerNames();
-  ASSERT_EQ(names.size(), 3u);
+  ASSERT_EQ(names, (std::vector<std::string_view>{"dp", "progressive"}));
   for (std::string_view name : names) {
     const auto kind = PackerKindFromName(name);
     ASSERT_TRUE(kind.has_value()) << name;
@@ -349,14 +345,15 @@ TEST(PackerRegistry, NamesRoundTrip)
   }
   EXPECT_FALSE(PackerKindFromName("nonsense").has_value());
   EXPECT_EQ(MakePacker("nonsense"), nullptr);
-  EXPECT_EQ(PackerKindFromName("auto"), PackerKind::kAuto);
 }
 
-TEST(PackerRegistry, AutoResolvesToStaircase)
+TEST(PackerRegistry, RetiredNamesAreRejected)
 {
-  auto packer = MakePacker(PackerKind::kAuto);
-  ASSERT_NE(packer, nullptr);
-  EXPECT_EQ(packer->name(), "staircase");
+  // "auto" and "staircase" were aliases of the DP; only "dp" names it.
+  for (std::string_view name : {"auto", "staircase"}) {
+    EXPECT_FALSE(PackerKindFromName(name).has_value()) << name;
+    EXPECT_EQ(MakePacker(name), nullptr) << name;
+  }
 }
 
 TEST(PackerRegistry, EmptyInputIsEmptyResult)
@@ -473,9 +470,8 @@ FillRandomQueue(serving::RequestTracker* tracker, Rng* rng,
   }
 }
 
-/** TetriOptions::packer = kDp / kStaircase must reproduce the
- * built-in Stage 2 exactly: same DP, now routed through the plugin
- * interface. */
+/** An explicit TetriOptions::packer = kDp is the default scheduler:
+ * same name, same plans. */
 TEST(SchedulerPackerDifferential, DpPackersReproduceBuiltinStage2)
 {
   const auto model = ModelConfig::FluxDev();
@@ -487,12 +483,9 @@ TEST(SchedulerPackerDifferential, DpPackersReproduceBuiltinStage2)
   core::TetriOptions dp_opts;
   dp_opts.packer = PackerKind::kDp;
   core::TetriScheduler via_dp(&table, dp_opts);
-  core::TetriOptions staircase_opts;
-  staircase_opts.packer = PackerKind::kStaircase;
-  core::TetriScheduler via_staircase(&table, staircase_opts);
 
-  EXPECT_EQ(via_dp.Name(), "TetriServe-dp");
-  EXPECT_EQ(via_staircase.Name(), "TetriServe-staircase");
+  EXPECT_EQ(builtin.Name(), "TetriServe");
+  EXPECT_EQ(via_dp.Name(), builtin.Name());
 
   for (int seed = 1; seed <= 25; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -512,7 +505,6 @@ TEST(SchedulerPackerDifferential, DpPackersReproduceBuiltinStage2)
 
     const auto base_plan = builtin.Plan(ctx);
     ExpectPlansIdentical(base_plan, via_dp.Plan(ctx));
-    ExpectPlansIdentical(base_plan, via_staircase.Plan(ctx));
   }
 }
 

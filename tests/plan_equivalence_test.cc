@@ -1,16 +1,33 @@
 /**
  * @file
- * Golden plan-equivalence tests for the scheduler fast path: the
- * PlanScratch arena implementation (default) and the seed data path
- * (TetriOptions::reference_plan) must emit bit-identical RoundPlans —
- * per call on randomized contexts, and assignment-for-assignment over
- * full end-to-end serving runs on mixed FLUX.1-dev and SD3-Medium
- * traces. Any divergence in the memo caches, the flat DP, the
- * incremental GPU counter, or buffer reuse across rounds shows up here
- * as a concrete mismatched assignment.
+ * Plan-equivalence tests for the scheduler's single Plan() data path.
+ *
+ *  - PlanEquivalenceSweep: a warm scheduler, whose arena buffers and
+ *    (table, tau) memo caches carry across rounds, must emit the same
+ *    RoundPlan as a TetriScheduler built fresh for every call on the
+ *    same randomized contexts. Any memo or buffer-reuse bug shows up
+ *    as a concrete mismatched assignment.
+ *  - EndToEndEquivalence: full serving runs on mixed FLUX.1-dev and
+ *    SD3-Medium traces are diffed, aggregate for aggregate and
+ *    timeline row for timeline row, against
+ *    tests/golden/plan_equivalence.golden. That golden was recorded
+ *    from the seed data path (per-call planner allocations, direct
+ *    latency-table lookups, the nested-vector DP), after checking it
+ *    matched the arena path exactly, so it stays an independent oracle
+ *    for the production path.
+ *
+ * Regenerate after an intentional policy change with:
+ *   TETRI_REGEN_GOLDEN=1 ./plan_equivalence_test
+ * and commit the diff.
  */
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -31,22 +48,21 @@ using serving::RequestTracker;
 using serving::ScheduleContext;
 
 void
-ExpectPlansIdentical(const serving::RoundPlan& fast,
-                     const serving::RoundPlan& ref)
+ExpectPlansIdentical(const serving::RoundPlan& got,
+                     const serving::RoundPlan& want)
 {
-  ASSERT_EQ(fast.assignments.size(), ref.assignments.size());
-  for (std::size_t i = 0; i < fast.assignments.size(); ++i) {
-    const auto& a = fast.assignments[i];
-    const auto& b = ref.assignments[i];
+  ASSERT_EQ(got.assignments.size(), want.assignments.size());
+  for (std::size_t i = 0; i < got.assignments.size(); ++i) {
+    const auto& a = got.assignments[i];
+    const auto& b = want.assignments[i];
     EXPECT_EQ(a.requests, b.requests) << "assignment " << i;
     EXPECT_EQ(a.mask, b.mask) << "assignment " << i;
     EXPECT_EQ(a.max_steps, b.max_steps) << "assignment " << i;
   }
 }
 
-/** Random-context sweep: each Plan() call must match the reference
- * bit for bit, including repeated calls against the same scheduler so
- * arena reuse across rounds is exercised. */
+/** Random-context sweep: a warm scheduler reused across rounds must
+ * match a scheduler built fresh for each call, bit for bit. */
 class PlanEquivalenceSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {
 };
@@ -60,16 +76,7 @@ TEST_P(PlanEquivalenceSweep, FastPathMatchesReference)
   costmodel::StepCostModel cost(&model, &topo);
   auto table = LatencyTable::Profile(cost, 4, 20, 5);
 
-  TetriOptions fast_opts;
-  TetriOptions ref_opts;
-  ref_opts.reference_plan = true;
-  TetriOptions inc_opts;
-  inc_opts.incremental_replan = true;
-  TetriScheduler fast(&table, fast_opts);
-  TetriScheduler ref(&table, ref_opts);
-  TetriScheduler incr(&table, inc_opts);
-  ASSERT_EQ(fast.RoundDurationUs(), ref.RoundDurationUs());
-  ASSERT_EQ(fast.RoundDurationUs(), incr.RoundDurationUs());
+  TetriScheduler warm(&table);
 
   Rng rng(seed);
   RequestTracker tracker;
@@ -97,28 +104,24 @@ TEST_P(PlanEquivalenceSweep, FastPathMatchesReference)
     }
   }
 
-  // Several rounds against the same scheduler pair: round 2+ runs on
-  // warm scratch buffers, which must not change any output.
+  // Several rounds against the same warm scheduler: round 2+ runs on
+  // carried scratch buffers and memos, which must not change any
+  // output.
   for (int round = 0; round < 3; ++round) {
-    const TimeUs now =
-        base_now + round * fast.RoundDurationUs();
+    const TimeUs now = base_now + round * warm.RoundDurationUs();
     auto schedulable = tracker.Schedulable(now);
     if (schedulable.empty()) break;
     ScheduleContext ctx;
     ctx.now = now;
-    ctx.round_end = now + fast.RoundDurationUs();
+    ctx.round_end = now + warm.RoundDurationUs();
     ctx.free_gpus =
         cluster::FullMask(1 + static_cast<int>(rng.NextBelow(8)));
     ctx.schedulable = &schedulable;
     ctx.topology = &topo;
     ctx.table = &table;
 
-    auto fast_plan = fast.Plan(ctx);
-    auto ref_plan = ref.Plan(ctx);
-    ExpectPlansIdentical(fast_plan, ref_plan);
-    // The incremental replanner rides the same sweep: queue churn and
-    // per-round free-mask changes must never break bit-identity.
-    ExpectPlansIdentical(fast_plan, incr.Plan(ctx));
+    TetriScheduler fresh(&table);
+    ExpectPlansIdentical(warm.Plan(ctx), fresh.Plan(ctx));
 
     // Advance request state a little so later rounds see different
     // queues (mimic partial execution without running the engine).
@@ -134,16 +137,69 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PlanEquivalenceSweep,
                          ::testing::Combine(::testing::Range(1, 40),
                                             ::testing::Values(0, 1)));
 
-/** End-to-end golden run: serve a mixed-resolution trace to completion
- * under both paths and require identical execution, assignment for
- * assignment. */
-class EndToEndEquivalence
-    : public ::testing::TestWithParam<std::tuple<int, double>> {
-};
-
-TEST_P(EndToEndEquivalence, RunsAreAssignmentIdentical)
+/**
+ * Text form of one serving run: the aggregates, then one line per
+ * request record and per timeline row:
+ *
+ *   record <id> <completion_us> <gpu_time_us> <steps> <degree_step_sum>
+ *   row <start_us> <end_us> <mask> <batch> <steps> <request,...>
+ *
+ * Doubles print with 17 significant digits, so equal text means
+ * bit-equal values.
+ */
+std::string
+RenderRun(const serving::ServingResult& result)
 {
-  auto [model_idx, slo_scale] = GetParam();
+  std::ostringstream out;
+  char line[160];
+  std::snprintf(line, sizeof(line),
+                "aggregate makespan_us=%" PRId64
+                " assignments=%d dropped=%d busy_gpu_us=%.17g\n",
+                static_cast<std::int64_t>(result.makespan_us),
+                result.num_assignments, result.num_dropped,
+                result.busy_gpu_us);
+  out << line;
+  for (const auto& r : result.records) {
+    std::snprintf(line, sizeof(line),
+                  "record %" PRId64 " %" PRId64 " %.17g %d %.17g\n",
+                  static_cast<std::int64_t>(r.id),
+                  static_cast<std::int64_t>(r.completion_us),
+                  r.gpu_time_us, r.steps_executed, r.degree_step_sum);
+    out << line;
+  }
+  for (const auto& e : result.timeline.entries()) {
+    std::snprintf(line, sizeof(line),
+                  "row %" PRId64 " %" PRId64 " 0x%" PRIx64 " %d %d ",
+                  static_cast<std::int64_t>(e.start_us),
+                  static_cast<std::int64_t>(e.end_us),
+                  static_cast<std::uint64_t>(e.mask), e.batch, e.steps);
+    out << line;
+    for (std::size_t i = 0; i < e.requests.size(); ++i) {
+      out << (i == 0 ? "" : ",") << e.requests[i];
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+/** The six end-to-end runs (FLUX/SD3 x SLO scale), one section each. */
+const std::tuple<int, double> kEndToEndRuns[] = {
+    {0, 0.8}, {0, 1.0}, {0, 1.4}, {1, 0.8}, {1, 1.0}, {1, 1.4}};
+
+std::string
+SectionHeader(int model_idx, double slo_scale)
+{
+  std::ostringstream out;
+  out << "run model=" << (model_idx == 0 ? "flux" : "sd3")
+      << " slo_scale=" << slo_scale << "\n";
+  return out.str();
+}
+
+/** Serve a mixed-resolution trace to completion under the default
+ * scheduler and render the run. */
+std::string
+EndToEndSection(int model_idx, double slo_scale)
+{
   auto model =
       model_idx == 0 ? ModelConfig::FluxDev() : ModelConfig::Sd3Medium();
   auto topo = Topology::H100Node();
@@ -157,85 +213,87 @@ TEST_P(EndToEndEquivalence, RunsAreAssignmentIdentical)
   if (model_idx == 1) spec.mix = workload::ResolutionMix::Skewed();
   auto trace = workload::BuildTrace(spec);
 
-  TetriOptions ref_opts;
-  ref_opts.reference_plan = true;
-  TetriOptions inc_opts;
-  inc_opts.incremental_replan = true;
-  TetriScheduler fast(&system.table());
-  TetriScheduler ref(&system.table(), ref_opts);
-  TetriScheduler incr(&system.table(), inc_opts);
-
-  auto fast_result = system.Run(&fast, trace);
-  auto ref_result = system.Run(&ref, trace);
-  auto inc_result = system.Run(&incr, trace);
-  EXPECT_GT(incr.replan_stats().rounds, 0u);
-
-  // Aggregate accounting must match exactly (same plans -> same
-  // jittered executions -> identical double accumulation order).
-  EXPECT_EQ(fast_result.makespan_us, ref_result.makespan_us);
-  EXPECT_EQ(fast_result.num_assignments, ref_result.num_assignments);
-  EXPECT_EQ(fast_result.num_dropped, ref_result.num_dropped);
-  EXPECT_EQ(fast_result.busy_gpu_us, ref_result.busy_gpu_us);
-
-  // Per-request outcomes.
-  ASSERT_EQ(fast_result.records.size(), ref_result.records.size());
-  for (std::size_t i = 0; i < fast_result.records.size(); ++i) {
-    const auto& a = fast_result.records[i];
-    const auto& b = ref_result.records[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.completion_us, b.completion_us) << "request " << a.id;
-    EXPECT_EQ(a.gpu_time_us, b.gpu_time_us) << "request " << a.id;
-    EXPECT_EQ(a.steps_executed, b.steps_executed) << "request " << a.id;
-    EXPECT_EQ(a.degree_step_sum, b.degree_step_sum)
-        << "request " << a.id;
-  }
-
-  // The full execution log, assignment for assignment.
-  const auto& fast_tl = fast_result.timeline.entries();
-  const auto& ref_tl = ref_result.timeline.entries();
-  ASSERT_EQ(fast_tl.size(), ref_tl.size());
-  for (std::size_t i = 0; i < fast_tl.size(); ++i) {
-    EXPECT_EQ(fast_tl[i].start_us, ref_tl[i].start_us) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].end_us, ref_tl[i].end_us) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].mask, ref_tl[i].mask) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].batch, ref_tl[i].batch) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].steps, ref_tl[i].steps) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].requests, ref_tl[i].requests)
-        << "entry " << i;
-  }
-
-  // Incremental replanning must leave the full execution golden: same
-  // aggregates, same timeline, entry for entry.
-  EXPECT_EQ(fast_result.makespan_us, inc_result.makespan_us);
-  EXPECT_EQ(fast_result.num_assignments, inc_result.num_assignments);
-  EXPECT_EQ(fast_result.num_dropped, inc_result.num_dropped);
-  EXPECT_EQ(fast_result.busy_gpu_us, inc_result.busy_gpu_us);
-  const auto& inc_tl = inc_result.timeline.entries();
-  ASSERT_EQ(fast_tl.size(), inc_tl.size());
-  for (std::size_t i = 0; i < fast_tl.size(); ++i) {
-    EXPECT_EQ(fast_tl[i].start_us, inc_tl[i].start_us) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].end_us, inc_tl[i].end_us) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].mask, inc_tl[i].mask) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].batch, inc_tl[i].batch) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].steps, inc_tl[i].steps) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].requests, inc_tl[i].requests)
-        << "entry " << i;
-  }
+  TetriScheduler scheduler(&system.table());
+  return SectionHeader(model_idx, slo_scale) +
+         RenderRun(system.Run(&scheduler, trace));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    MixedTraces, EndToEndEquivalence,
-    ::testing::Combine(::testing::Values(0, 1),
-                       ::testing::Values(0.8, 1.0, 1.4)));
+std::string
+GoldenPath()
+{
+  return std::string(TETRI_SOURCE_DIR) +
+         "/tests/golden/plan_equivalence.golden";
+}
+
+/** The committed section for one run, or "" when absent. */
+std::string
+GoldenSection(int model_idx, double slo_scale)
+{
+  std::ifstream in(GoldenPath());
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string text = buf.str();
+  const std::string header = SectionHeader(model_idx, slo_scale);
+  const auto start = text.find(header);
+  if (start == std::string::npos) return "";
+  const auto end = text.find("run model=", start + header.size());
+  return text.substr(start, end == std::string::npos ? std::string::npos
+                                                     : end - start);
+}
+
+/** End-to-end golden run: the production path must reproduce the
+ * recorded run exactly, assignment for assignment. */
+class EndToEndEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, double>> {
+};
+
+TEST_P(EndToEndEquivalence, RunsAreAssignmentIdentical)
+{
+  auto [model_idx, slo_scale] = GetParam();
+  const char* regen = std::getenv("TETRI_REGEN_GOLDEN");
+  if (regen != nullptr && *regen != '\0') {
+    // One file holds all six runs; write it once, from the first case.
+    if (std::make_tuple(model_idx, slo_scale) == kEndToEndRuns[0]) {
+      std::ofstream out(GoldenPath());
+      ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
+      for (const auto& [m, s] : kEndToEndRuns) out << EndToEndSection(m, s);
+    }
+    GTEST_SKIP() << "golden file regenerated at " << GoldenPath();
+  }
+
+  const std::string expected = GoldenSection(model_idx, slo_scale);
+  ASSERT_FALSE(expected.empty())
+      << "missing section in " << GoldenPath()
+      << " (regenerate with TETRI_REGEN_GOLDEN=1)";
+  const std::string actual = EndToEndSection(model_idx, slo_scale);
+  if (actual == expected) return;
+  // Report the first differing line rather than two large blobs.
+  std::istringstream a(actual);
+  std::istringstream e(expected);
+  std::string a_line;
+  std::string e_line;
+  int line_no = 1;
+  while (std::getline(a, a_line) && std::getline(e, e_line) &&
+         a_line == e_line) {
+    ++line_no;
+  }
+  FAIL() << "run diverges from the golden at section line " << line_no
+         << "\n  got:  " << a_line << "\n  want: " << e_line
+         << "\nif intentional, regenerate with TETRI_REGEN_GOLDEN=1 and "
+            "commit the diff";
+}
+
+INSTANTIATE_TEST_SUITE_P(MixedTraces, EndToEndEquivalence,
+                         ::testing::ValuesIn(kEndToEndRuns));
 
 /**
- * Packer matrix over full serving runs: "dp" and "staircase" are one
- * algorithm behind the pluggable interface, so their runs (and the
- * built-in Stage 2's) must be bit-identical; "progressive" is a
- * feasible heuristic, so it must serve the same request set to
- * terminal states with attainment in the same regime (>= half the
- * DP's on these mild traces), without ever beating the DP by more
- * than the DP's own optimality allows at the round level.
+ * Packer matrix over full serving runs: an explicit "dp" packer is the
+ * default Stage 2, so its run must be bit-identical to the default
+ * scheduler's; "progressive" is a feasible heuristic, so it must serve
+ * the same request set to terminal states with attainment in the same
+ * regime (>= half the DP's on these mild traces), without ever beating
+ * the DP by more than the DP's own optimality allows at the round
+ * level.
  */
 class PackerMatrixEquivalence
     : public ::testing::TestWithParam<std::tuple<int, double>> {
@@ -268,23 +326,10 @@ TEST_P(PackerMatrixEquivalence, DpPathsIdenticalProgressiveBounded)
     return system.Run(&scheduler, trace);
   }();
   auto dp_result = run(packers::PackerKind::kDp);
-  auto staircase_result = run(packers::PackerKind::kStaircase);
   auto progressive_result = run(packers::PackerKind::kProgressive);
 
-  // dp == staircase == builtin, execution log entry for entry.
-  for (const auto* result : {&dp_result, &staircase_result}) {
-    EXPECT_EQ(builtin_result.makespan_us, result->makespan_us);
-    EXPECT_EQ(builtin_result.num_assignments, result->num_assignments);
-    EXPECT_EQ(builtin_result.busy_gpu_us, result->busy_gpu_us);
-    const auto& a = builtin_result.timeline.entries();
-    const auto& b = result->timeline.entries();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].start_us, b[i].start_us) << "entry " << i;
-      EXPECT_EQ(a[i].mask, b[i].mask) << "entry " << i;
-      EXPECT_EQ(a[i].requests, b[i].requests) << "entry " << i;
-    }
-  }
+  // dp == builtin, execution log entry for entry.
+  EXPECT_EQ(RenderRun(builtin_result), RenderRun(dp_result));
 
   // Progressive: same request universe, terminal outcomes for all,
   // attainment in the DP's regime.

@@ -17,6 +17,7 @@
 #include "audit/checkers.h"
 #include "core/tetri_scheduler.h"
 #include "costmodel/model_config.h"
+#include "oracle/allocation.h"
 #include "serving/request_tracker.h"
 #include "trace/trace.h"
 
@@ -27,6 +28,7 @@ using costmodel::LatencyTable;
 using costmodel::ModelConfig;
 using costmodel::Resolution;
 using cluster::Topology;
+using oracle::RoundAwarePlan;
 using serving::Request;
 using serving::RequestTracker;
 using serving::ScheduleContext;
@@ -500,33 +502,28 @@ TEST_F(TetriSchedulerTest, MemosFollowRoundWindowAndTableChanges)
                           {400'000, true, false},   {800'000, true, true},
                           {800'000, false, false},  {1'200'000, true, false},
                           {1'200'000, false, false}};
-  for (const bool incremental : {false, true}) {
-    SCOPED_TRACE(incremental ? "incremental" : "from scratch");
-    TetriOptions options;
-    options.incremental_replan = incremental;
-    TetriScheduler sched(&table_, options);
-    const TimeUs wide = sched.RoundDurationUs();
-    const TimeUs narrow = wide / 3;
-    const LatencyTable* table = &table_;
-    for (std::size_t i = 0; i < std::size(rounds); ++i) {
-      SCOPED_TRACE("round " + std::to_string(i));
-      if (rounds[i].swap_table) {
-        table = &sd3_table;
-        sched.set_table(table);
-      }
-      auto ctx = MakeContext(rounds[i].now, rounds[i].wide ? wide : narrow);
-      ctx.table = table;
-      TetriScheduler fresh(table, options);
-      const auto got = sched.Plan(ctx);
-      const auto want = fresh.Plan(ctx);
-      ASSERT_FALSE(want.assignments.empty());
-      ASSERT_EQ(got.assignments.size(), want.assignments.size());
-      for (std::size_t a = 0; a < got.assignments.size(); ++a) {
-        EXPECT_EQ(got.assignments[a].requests, want.assignments[a].requests);
-        EXPECT_EQ(got.assignments[a].mask, want.assignments[a].mask);
-        EXPECT_EQ(got.assignments[a].max_steps,
-                  want.assignments[a].max_steps);
-      }
+  TetriScheduler sched(&table_);
+  const TimeUs wide = sched.RoundDurationUs();
+  const TimeUs narrow = wide / 3;
+  const LatencyTable* table = &table_;
+  for (std::size_t i = 0; i < std::size(rounds); ++i) {
+    SCOPED_TRACE("round " + std::to_string(i));
+    if (rounds[i].swap_table) {
+      table = &sd3_table;
+      sched.set_table(table);
+    }
+    auto ctx = MakeContext(rounds[i].now, rounds[i].wide ? wide : narrow);
+    ctx.table = table;
+    TetriScheduler fresh(table);
+    const auto got = sched.Plan(ctx);
+    const auto want = fresh.Plan(ctx);
+    ASSERT_FALSE(want.assignments.empty());
+    ASSERT_EQ(got.assignments.size(), want.assignments.size());
+    for (std::size_t a = 0; a < got.assignments.size(); ++a) {
+      EXPECT_EQ(got.assignments[a].requests, want.assignments[a].requests);
+      EXPECT_EQ(got.assignments[a].mask, want.assignments[a].mask);
+      EXPECT_EQ(got.assignments[a].max_steps,
+                want.assignments[a].max_steps);
     }
   }
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Benchmark regression gate for the scheduler fast path.
+ * Benchmark regression gate for scheduler Plan() latency.
  *
  * Compares a fresh `bench_micro_scheduler --json` report against the
  * committed baseline (BENCH_scheduler.json at the repo root), matching
@@ -8,12 +8,6 @@
  * mean of the per-config fast_p50_us ratios (current / baseline)
  * exceeds the threshold — the geomean absorbs per-cell CI noise while
  * still catching an across-the-board slowdown.
- *
- * When the current report carries a "churn" block (produced by
- * `bench_micro_scheduler --churn`), the gate additionally enforces the
- * incremental-replanning floor: every cell with queue_depth <= 64 must
- * show at least --churn-min-speedup p50 speedup over from-scratch
- * replanning. Reports without the block skip the check.
  *
  * When the current report carries a "scaling" block (produced by
  * `bench_e2e_scaling`), the gate enforces a linear serving loop: for
@@ -25,7 +19,7 @@
  *
  * Usage:
  *   bench_gate <baseline.json> <current.json>
- *              [--threshold=1.20] [--churn-min-speedup=5.0]
+ *              [--threshold=1.20]
  *              [--append-trajectory=<path> --label=<text>]
  *
  * --append-trajectory appends one JSONL record per invocation to the
@@ -66,14 +60,6 @@ struct PackerRow {
   int frag_total = 0;
 };
 
-struct ChurnRow {
-  int queue_depth = 0;
-  int num_gpus = 0;
-  double inc_p50_us = 0.0;
-  double speedup_p50 = 0.0;
-  double memo_hit_frac = 0.0;
-};
-
 struct ScalingRow {
   std::string scheduler;
   int num_requests = 0;
@@ -84,7 +70,6 @@ struct Report {
   std::string mode;
   std::vector<Config> configs;
   std::vector<PackerRow> packers;  // optional "packers" block
-  std::vector<ChurnRow> churn;     // optional "churn" block
   std::vector<ScalingRow> scaling;  // optional "scaling" block
 };
 
@@ -141,7 +126,7 @@ ArrayObjects(const std::string& text, const std::string& key)
 /**
  * Minimal parse of the bench_micro_scheduler JSON shape: pull the
  * "mode" string and every {...} object inside the "configs" array
- * (plus the optional "churn" and "packers" arrays, when present), or
+ * (plus the optional "packers" array, when present), or
  * the bench_e2e_scaling shape with its "scaling" array.
  * Deliberately not a general JSON parser — the producer is ours and
  * writes flat objects with no nested braces inside configs.
@@ -176,22 +161,6 @@ ParseReport(const std::string& path, Report* out)
     if (c.queue_depth > 0 && c.num_gpus > 0 &&
         std::isfinite(c.fast_p50_us)) {
       out->configs.push_back(c);
-    }
-  }
-
-  // Optional churn block (bench_micro_scheduler --churn): incremental
-  // vs from-scratch replanning under single-request churn. Older
-  // reports predate it, so absence is not an error.
-  for (const std::string& obj : ArrayObjects(text, "churn")) {
-    ChurnRow row;
-    row.queue_depth = static_cast<int>(NumberField(obj, "queue_depth"));
-    row.num_gpus = static_cast<int>(NumberField(obj, "num_gpus"));
-    row.inc_p50_us = NumberField(obj, "inc_p50_us");
-    row.speedup_p50 = NumberField(obj, "speedup_p50");
-    row.memo_hit_frac = NumberField(obj, "memo_hit_frac");
-    if (row.queue_depth > 0 && row.num_gpus > 0 &&
-        std::isfinite(row.speedup_p50)) {
-      out->churn.push_back(row);
     }
   }
 
@@ -311,7 +280,7 @@ int
 Usage()
 {
   std::cerr << "usage: bench_gate <baseline.json> <current.json> "
-               "[--threshold=R] [--churn-min-speedup=R] "
+               "[--threshold=R] "
                "[--append-trajectory=PATH --label=TEXT]\n";
   return 2;
 }
@@ -326,16 +295,12 @@ main(int argc, char** argv)
   std::string trajectory_path;
   std::string label;
   double threshold = 1.20;
-  double churn_min_speedup = 5.0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--threshold=", 0) == 0) {
       threshold = std::strtod(arg.c_str() + 12, nullptr);
       if (!(threshold > 0)) return Usage();
-    } else if (arg.rfind("--churn-min-speedup=", 0) == 0) {
-      churn_min_speedup = std::strtod(arg.c_str() + 20, nullptr);
-      if (!(churn_min_speedup > 0)) return Usage();
     } else if (arg.rfind("--append-trajectory=", 0) == 0) {
       trajectory_path = arg.substr(20);
     } else if (arg.rfind("--label=", 0) == 0) {
@@ -472,46 +437,6 @@ main(int argc, char** argv)
                 << dp->frag_met << "\n";
       return 1;
     }
-  }
-
-  // Churn block (when the current report carries one): print the rows
-  // and enforce the incremental-replanning headline — at interactive
-  // queue depths (<= 64) the incremental path must beat from-scratch
-  // replanning by at least --churn-min-speedup on p50. Reports without
-  // the block (older baselines, runs without --churn) skip the check.
-  if (!current.churn.empty()) {
-    std::map<std::pair<int, int>, const ChurnRow*> churn_base;
-    for (const ChurnRow& row : baseline.churn) {
-      churn_base[{row.queue_depth, row.num_gpus}] = &row;
-    }
-    std::printf("%8s %6s %14s %10s %8s %10s\n", "depth", "gpus",
-                "inc_p50_us", "speedup", "memo", "vs_base");
-    bool churn_fail = false;
-    for (const ChurnRow& row : current.churn) {
-      const auto it =
-          churn_base.find({row.queue_depth, row.num_gpus});
-      const bool has_base =
-          it != churn_base.end() && it->second->inc_p50_us > 0 &&
-          row.inc_p50_us > 0;
-      const double vs_base =
-          has_base ? row.inc_p50_us / it->second->inc_p50_us : NAN;
-      std::printf("%8d %6d %14.3f %9.2fx %7.0f%% %9s\n",
-                  row.queue_depth, row.num_gpus, row.inc_p50_us,
-                  row.speedup_p50, row.memo_hit_frac * 100.0,
-                  has_base
-                      ? (std::to_string(vs_base).substr(0, 4) + "x")
-                            .c_str()
-                      : "-");
-      if (row.queue_depth <= 64 &&
-          row.speedup_p50 < churn_min_speedup) {
-        std::cerr << "bench_gate: FAIL — churn speedup "
-                  << row.speedup_p50 << "x at depth "
-                  << row.queue_depth << " below floor "
-                  << churn_min_speedup << "x\n";
-        churn_fail = true;
-      }
-    }
-    if (churn_fail) return 1;
   }
 
   if (!trajectory_path.empty()) {
