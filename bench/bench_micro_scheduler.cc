@@ -1,8 +1,9 @@
 /**
  * @file
  * Microbenchmarks of TetriServe's control plane: the group-knapsack DP
- * (Algorithm 1), deadline-aware allocation, round-aware planning, and
- * a full Plan() invocation at varying queue depths — substantiating
+ * (Algorithm 1), deadline-aware allocation, round-aware planning, the
+ * Stage-1 staircase (cold build and warm lookups), and a full Plan()
+ * invocation at varying queue depths — substantiating
  * the paper's claim of millisecond control-plane latency (§5, Table 6).
  *
  * Two modes:
@@ -144,6 +145,79 @@ BM_RoundAwarePlan(benchmark::State& state)
   }
 }
 BENCHMARK(BM_RoundAwarePlan);
+
+/** Stage 1 on its own: the round-aware planner's staircase for one
+ * (resolution, remaining steps) key, probed over an even grid of
+ * slacks from 0 to 1.5x its widest breakpoint, visited in a fixed
+ * shuffled order (Stage 1 meets keys in queue order, not slack
+ * order). */
+struct StaircaseKey {
+  std::vector<core::RoundDegreeInfo> info;
+  std::vector<double> slacks;
+  int steps = 0;
+  double tau = 0.0;
+
+  StaircaseKey(int res_index, int remaining_steps, int num_slacks)
+      : steps(remaining_steps),
+        tau(static_cast<double>(
+            core::TetriScheduler::ComputeRoundDuration(F().table, 5)))
+  {
+    core::BuildRoundDegreeInfo(F().table,
+                               costmodel::ResolutionFromIndex(res_index),
+                               tau, &info);
+    core::PlanStaircase probe;
+    core::BuildPlanStaircase(info, steps, tau, &probe);
+    const double widest = probe.thresholds.back();
+    for (int i = 0; i < num_slacks; ++i) {
+      slacks.push_back(1.5 * widest * i / num_slacks);
+    }
+    Rng rng(static_cast<std::uint64_t>(num_slacks));
+    for (int i = num_slacks - 1; i > 0; --i) {
+      std::swap(slacks[i], slacks[rng.NextBelow(i + 1)]);
+    }
+  }
+};
+
+/** Build a staircase and answer its first lookups: the Stage-1 cost a
+ * (resolution, steps) key pays once per round window. */
+void
+BM_StaircaseCold(benchmark::State& state)
+{
+  const StaircaseKey key(static_cast<int>(state.range(0)),
+                         static_cast<int>(state.range(1)), 8);
+  core::PlanStaircase staircase;
+  for (auto _ : state) {
+    core::BuildPlanStaircase(key.info, key.steps, key.tau, &staircase);
+    for (double slack : key.slacks) {
+      benchmark::DoNotOptimize(
+          &core::ResolveRoundPlan(&staircase, key.info, slack));
+    }
+  }
+}
+BENCHMARK(BM_StaircaseCold)->ArgsProduct({{0, 2, 3}, {10, 50}});
+
+/** Warm Stage-1 lookups over a slack grid: the per-request cost of
+ * Stage 1 once a key's breakpoints are resolved. */
+void
+BM_Stage1Lookup(benchmark::State& state)
+{
+  const StaircaseKey key(static_cast<int>(state.range(0)),
+                         static_cast<int>(state.range(1)), 64);
+  core::PlanStaircase staircase;
+  core::BuildPlanStaircase(key.info, key.steps, key.tau, &staircase);
+  for (double slack : key.slacks) {
+    core::ResolveRoundPlan(&staircase, key.info, slack);
+  }
+  for (auto _ : state) {
+    for (double slack : key.slacks) {
+      benchmark::DoNotOptimize(
+          &core::ResolveRoundPlan(&staircase, key.info, slack));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(key.slacks.size()));
+}
+BENCHMARK(BM_Stage1Lookup)->ArgsProduct({{0, 2, 3}, {10, 50}});
 
 /** Shared queue construction for BM_FullPlan and the regression
  * harness: `depth` mixed-resolution requests with randomized SLO

@@ -1,7 +1,5 @@
 #include "cluster/allocator.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace tetri::cluster {
@@ -26,15 +24,17 @@ GpuAllocator::Allocate(int k, GpuMask prefer)
     return prefer;
   }
 
-  // 2. Fully free buddy-aligned block; among those, prefer the one with
-  //    the most overlap with the previous mask, then lowest index for
-  //    determinism.
-  std::optional<GpuMask> best;
+  // 2. Fully free buddy-aligned block (any contiguous block when k is
+  //    not a power of two); among those, prefer the one with the most
+  //    overlap with the previous mask, then lowest index for
+  //    determinism. Blocks are walked in place, not materialized.
+  const int n = topology_->num_gpus();
+  const int stride = IsPow2(k) ? k : 1;
+  const GpuMask unit = FullMask(k);
+  GpuMask best = 0;  // blocks are non-empty, so 0 means none found
   int best_overlap = -1;
-  const std::vector<GpuMask> blocks =
-      IsPow2(k) ? AlignedBlocks(topology_->num_gpus(), k)
-                : ContiguousBlocks(topology_->num_gpus(), k);
-  for (GpuMask block : blocks) {
+  for (int start = 0; start + k <= n; start += stride) {
+    const GpuMask block = unit << start;
     if ((block & avail) != block) continue;
     const int overlap = OverlapCount(block, prefer);
     if (overlap > best_overlap) {
@@ -42,26 +42,23 @@ GpuAllocator::Allocate(int k, GpuMask prefer)
       best = block;
     }
   }
-  if (best) {
-    free_ &= ~*best;
+  if (best != 0) {
+    free_ &= ~best;
     return best;
   }
 
   // 3. No aligned block: gather k free GPUs, favouring bits of the
-  //    previous mask first, then fast-link neighbours of those bits,
-  //    then lowest index.
+  //    previous mask first, then the lowest free indices.
   GpuMask mask = 0;
   int needed = k;
-  for (int i : GpuIndices(prefer & avail)) {
-    if (needed == 0) break;
-    mask |= GpuMask{1} << i;
-    --needed;
-  }
-  for (int i : GpuIndices(avail & ~mask)) {
-    if (needed == 0) break;
-    mask |= GpuMask{1} << i;
-    --needed;
-  }
+  auto take_lowest = [&](GpuMask bits) {
+    for (; bits != 0 && needed > 0; bits &= bits - 1) {
+      mask |= bits & (~bits + 1);
+      --needed;
+    }
+  };
+  take_lowest(prefer & avail);
+  take_lowest(avail & ~mask);
   TETRI_CHECK(needed == 0);
   free_ &= ~mask;
   return mask;

@@ -49,18 +49,6 @@ AlignedBlocks(int n, int k)
 }
 
 std::vector<GpuMask>
-ContiguousBlocks(int n, int k)
-{
-  TETRI_CHECK(k >= 1 && k <= n);
-  std::vector<GpuMask> out;
-  const GpuMask block = FullMask(k);
-  for (int start = 0; start + k <= n; ++start) {
-    out.push_back(block << start);
-  }
-  return out;
-}
-
-std::vector<GpuMask>
 AllSubsetsOfSize(GpuMask free, int k)
 {
   std::vector<GpuMask> out;

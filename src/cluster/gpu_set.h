@@ -50,15 +50,6 @@ std::string MaskToString(GpuMask mask);
 std::vector<GpuMask> AlignedBlocks(int n, int k);
 
 /**
- * All contiguous blocks of @p k consecutive GPUs within an @p n GPU
- * node, at every start offset. The non-power-of-two analogue of
- * AlignedBlocks (no buddy alignment exists for, say, k = 3); the
- * relaxed-placement allocator prefers these so odd-sized groups still
- * sit on neighbouring GPUs.
- */
-std::vector<GpuMask> ContiguousBlocks(int n, int k);
-
-/**
  * All subsets of @p free with exactly @p k bits (ascending mask order).
  * Used by the exact solver; exponential, so only for small nodes.
  */

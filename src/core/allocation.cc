@@ -357,61 +357,52 @@ BuildPlanStaircase(const std::vector<RoundDegreeInfo>& info,
       std::unique(out->thresholds.begin(), out->thresholds.end()),
       out->thresholds.end());
 
-  // For each feasibility breakpoint, replay the planner's scan over
-  // the candidates that would pass the slack gate. The epsilon tie
-  // band makes the preference order-dependent, so an incremental
-  // update against the previous breakpoint's winner would not be
-  // faithful; a full replay per breakpoint is (and is one-time cost).
-  out->winners.assign(out->thresholds.size(), -1);
-  const int num_candidates = static_cast<int>(out->candidates.size());
-  for (std::size_t ti = 0; ti < out->thresholds.size(); ++ti) {
-    const double slack = out->thresholds[ti];
-    bool found = false;
-    double best_gpu_time = std::numeric_limits<double>::max();
-    double best_duration = 0.0;
-    int winner = -1;
-    for (int ci = 0; ci < num_candidates; ++ci) {
-      const PlanCandidate& c = out->candidates[ci];
-      if (c.duration_us > slack) continue;
-      if (!RoundPlanBetter(found, c.gpu_time_us, c.duration_us,
-                           best_gpu_time, best_duration)) {
-        continue;
-      }
-      found = true;
-      best_gpu_time = c.gpu_time_us;
-      best_duration = c.duration_us;
-      winner = ci;
-    }
-    TETRI_CHECK(winner >= 0);  // the breakpoint's own candidate fits
-    out->winners[ti] = winner;
-  }
-
-  FallbackRoundPlan(info, remaining_steps, round_us, &out->fallback);
+  // Every breakpoint starts unresolved (no segments); a rebuild keeps
+  // the plans' segment capacity.
+  out->plans.resize(out->thresholds.size() + 1);
+  for (AllocationPlan& plan : out->plans) plan.segments.clear();
+  FallbackRoundPlan(info, remaining_steps, round_us, &out->plans[0]);
   out->built = true;
 }
 
-void
-LookupRoundPlan(const PlanStaircase& staircase,
-                const std::vector<RoundDegreeInfo>& info,
-                double slack_us, AllocationPlan* out)
+const AllocationPlan&
+ResolveRoundPlan(PlanStaircase* staircase,
+                 const std::vector<RoundDegreeInfo>& info, double slack_us)
 {
-  TETRI_CHECK(staircase.built && out != nullptr);
-  const auto& thresholds = staircase.thresholds;
-  auto it = std::upper_bound(thresholds.begin(), thresholds.end(),
-                             slack_us);
-  if (it == thresholds.begin()) {
-    // Below every breakpoint: definitely late.
-    const AllocationPlan& fb = staircase.fallback;
-    out->segments.assign(fb.segments.begin(), fb.segments.end());
-    out->exec_time_us = fb.exec_time_us;
-    out->gpu_time_us = fb.gpu_time_us;
-    out->feasible = false;
-    return;
+  TETRI_CHECK(staircase != nullptr && staircase->built);
+  const auto& thresholds = staircase->thresholds;
+  // Below every breakpoint: plans[0], the definitely-late fallback.
+  // Tested first because an overloaded queue is mostly late.
+  if (slack_us < thresholds.front()) return staircase->plans[0];
+  const auto it =
+      std::upper_bound(thresholds.begin(), thresholds.end(), slack_us);
+  AllocationPlan& plan = staircase->plans[it - thresholds.begin()];
+  if (!plan.segments.empty()) return plan;
+
+  // First lookup in this breakpoint: replay the planner's scan over
+  // the candidates that pass its slack gate. The epsilon tie band makes
+  // the preference order-dependent, so deriving the winner from a
+  // neighbouring breakpoint's would not be faithful; each breakpoint
+  // gets a full scan, once.
+  const double slack = *(it - 1);
+  bool found = false;
+  double best_gpu_time = std::numeric_limits<double>::max();
+  double best_duration = 0.0;
+  const PlanCandidate* winner = nullptr;
+  for (const PlanCandidate& c : staircase->candidates) {
+    if (c.duration_us > slack) continue;
+    if (!RoundPlanBetter(found, c.gpu_time_us, c.duration_us,
+                         best_gpu_time, best_duration)) {
+      continue;
+    }
+    found = true;
+    best_gpu_time = c.gpu_time_us;
+    best_duration = c.duration_us;
+    winner = &c;
   }
-  const std::size_t idx =
-      static_cast<std::size_t>(it - thresholds.begin()) - 1;
-  MaterializeRoundPlan(info, staircase.candidates[staircase.winners[idx]],
-                       out);
+  TETRI_CHECK(winner != nullptr);  // the breakpoint's own candidate fits
+  MaterializeRoundPlan(info, *winner, &plan);
+  return plan;
 }
 
 AllocationPlan

@@ -149,11 +149,14 @@ struct PlanCandidate {
  * For fixed (degree info, remaining steps, round length) the planner's
  * candidate set is slack-independent; slack only gates which
  * candidates are feasible. The winner is therefore a step function of
- * slack whose breakpoints are the distinct candidate durations. The
- * staircase stores, for every breakpoint, the winner of a faithful
- * re-scan of the candidate list (same enumeration order, same
- * epsilon comparator), so LookupRoundPlan answers any slack with a
- * binary search yet reproduces RoundAwarePlanInto bit for bit.
+ * slack whose breakpoints are the distinct candidate durations.
+ * BuildPlanStaircase records the candidates, the breakpoints and the
+ * definitely-late fallback. A breakpoint's winner is resolved the
+ * first time a lookup lands in it, by a faithful re-scan of the
+ * candidate list (same enumeration order, same epsilon comparator),
+ * and is kept as a materialized plan, so ResolveRoundPlan answers any
+ * slack with a binary search yet reproduces RoundAwarePlanInto bit for
+ * bit.
  */
 struct PlanStaircase {
   bool built = false;
@@ -161,27 +164,36 @@ struct PlanStaircase {
   std::vector<PlanCandidate> candidates;
   /** Sorted distinct candidate durations (feasibility breakpoints). */
   std::vector<double> thresholds;
-  /** winners[i]: candidate index chosen when slack lies in
-   * [thresholds[i], thresholds[i+1]). */
-  std::vector<int> winners;
-  /** The definitely-late fallback (slack below every threshold). */
-  AllocationPlan fallback;
+  /**
+   * plans[0] is the definitely-late fallback (slack below every
+   * threshold); plans[i + 1] is the plan chosen when slack lies in
+   * [thresholds[i], thresholds[i+1]), with no segments until a lookup
+   * first resolves it. Sized once per build and heap-owned, so a
+   * returned reference survives later lookups and moves of the
+   * staircase itself (the scheduler's memo vector grows while entries
+   * hold pointers into it).
+   */
+  std::vector<AllocationPlan> plans;
 };
 
-/** Precompute the staircase for (info, remaining_steps, round_us). */
+/**
+ * Prepare the staircase for (info, remaining_steps, round_us): the
+ * candidates, breakpoints and fallback. No breakpoint is resolved.
+ */
 void BuildPlanStaircase(const std::vector<RoundDegreeInfo>& info,
                         int remaining_steps, double round_us,
                         PlanStaircase* out);
 
 /**
- * Answer a RoundAwarePlanInto query from a prebuilt staircase in
- * O(log candidates). @p info must be the vector the staircase was
- * built from. Writes into @p out, reusing its segment capacity, and
- * produces exactly the plan RoundAwarePlanInto would.
+ * Answer a RoundAwarePlanInto query from a built staircase in
+ * O(log candidates), resolving the breakpoint the slack lands in on
+ * first use. @p info must be the vector the staircase was built from.
+ * Returns exactly the plan RoundAwarePlanInto would produce, in place:
+ * the reference stays valid until the staircase is rebuilt.
  */
-void LookupRoundPlan(const PlanStaircase& staircase,
-                     const std::vector<RoundDegreeInfo>& info,
-                     double slack_us, AllocationPlan* out);
+const AllocationPlan& ResolveRoundPlan(
+    PlanStaircase* staircase, const std::vector<RoundDegreeInfo>& info,
+    double slack_us);
 
 }  // namespace tetri::core
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <type_traits>
 
 #include "cluster/allocator.h"
 #include "util/check.h"
@@ -170,19 +171,24 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     return static_cast<int>(
         std::floor(tau / step_time(res, degree, 1)));
   };
-  // Stage-1 planner answers via the precomputed staircase: the
-  // candidate scan runs once per (resolution, remaining steps) for as
-  // long as tau is stable; every later request with the same key is a
-  // binary search over the feasibility breakpoints.
-  auto staircase = [&](Resolution res, int rem) -> const PlanStaircase& {
+  // Stage-1 planner answers via the staircase: candidates are
+  // enumerated once per (resolution, remaining steps) and each
+  // feasibility breakpoint is scanned once, for as long as tau is
+  // stable; every later request with the same key is a binary search
+  // that returns the plan in place.
+  static_assert(std::is_nothrow_move_constructible_v<PlanStaircase>,
+                "entries point into staircase plans across memo growth");
+  auto stage1_plan = [&](Resolution res, int rem,
+                         double slack_us) -> const AllocationPlan& {
     const int ri = costmodel::ResolutionIndex(res);
     auto& per_res = scratch_.staircases[ri];
     if (static_cast<int>(per_res.size()) <= rem) {
       per_res.resize(rem + 1);
     }
     PlanStaircase& s = per_res[rem];
-    if (!s.built) BuildPlanStaircase(degree_info(res), rem, tau, &s);
-    return s;
+    const std::vector<RoundDegreeInfo>& info = degree_info(res);
+    if (!s.built) BuildPlanStaircase(info, rem, tau, &s);
+    return ResolveRoundPlan(&s, info, slack_us);
   };
   auto lower_bound = [&](Resolution res, int steps) {
     if (steps <= 0) return 0.0;
@@ -208,8 +214,8 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     entry.late = false;
     entry.chosen_degree = 0;
     entry.chosen_steps = 0;
-    entry.slack_us =
-        EffectiveDeadlineUs(*req) - static_cast<double>(ctx.now);
+    entry.deadline_eff_us = EffectiveDeadlineUs(*req);
+    entry.slack_us = entry.deadline_eff_us - static_cast<double>(ctx.now);
     const int rem = req->RemainingSteps();
     TETRI_CHECK(rem > 0);
     const double slack_c = std::max(entry.slack_us, 0.0);
@@ -226,15 +232,15 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
                       return d.degree > cap;
                     });
       RoundAwarePlanInto(scratch_.capped_info, rem, slack_c, tau,
-                         &entry.alloc);
+                         &entry.owned);
+      entry.alloc = &entry.owned;
     } else if (options_.use_continuous_planner) {
-      entry.alloc = FindPlan(*table_, req->meta.resolution, rem, slack_c);
+      entry.owned = FindPlan(*table_, req->meta.resolution, rem, slack_c);
+      entry.alloc = &entry.owned;
     } else {
-      LookupRoundPlan(staircase(req->meta.resolution, rem),
-                      degree_info(req->meta.resolution), slack_c,
-                      &entry.alloc);
+      entry.alloc = &stage1_plan(req->meta.resolution, rem, slack_c);
     }
-    entry.late = !entry.alloc.feasible;
+    entry.late = !entry.alloc->feasible;
     if (trace_ != nullptr) {
       if (req->degree_cap > 0) {
         trace::TraceEvent ev;
@@ -245,7 +251,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
         ev.value = entry.slack_us;
         emit(ev);
       }
-      for (const AllocationSegment& seg : entry.alloc.segments) {
+      for (const AllocationSegment& seg : entry.alloc->segments) {
         trace::TraceEvent ev;
         ev.kind = trace::TraceEventKind::kPlanCandidate;
         ev.request = req->meta.id;
@@ -288,7 +294,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     double work_us = 0.0;  // GPU-us of admitted prefix
     for (Entry* entry : scratch_.edf) {
       scratch_.admitted.push_back(entry);
-      work_us += entry->alloc.gpu_time_us;
+      work_us += entry->alloc->gpu_time_us;
       const double horizon = entry->slack_us;
       while (work_us >
                  capacity * horizon * options_.overload_utilization &&
@@ -296,7 +302,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
         auto victim = std::max_element(
             scratch_.admitted.begin(), scratch_.admitted.end(),
             [](const Entry* a, const Entry* b) {
-              return a->alloc.gpu_time_us < b->alloc.gpu_time_us;
+              return a->alloc->gpu_time_us < b->alloc->gpu_time_us;
             });
         if (trace_ != nullptr) {
           trace::TraceEvent ev;
@@ -307,7 +313,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
           emit(ev);
         }
         (*victim)->late = true;
-        work_us -= (*victim)->alloc.gpu_time_us;
+        work_us -= (*victim)->alloc->gpu_time_us;
         scratch_.admitted.erase(victim);
       }
     }
@@ -322,7 +328,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     const Request& req = *entry.request;
     const Resolution res = req.meta.resolution;
     const int rem = req.RemainingSteps();
-    const double deadline_eff = EffectiveDeadlineUs(req);
+    const double deadline_eff = entry.deadline_eff_us;
     const double next_round = static_cast<double>(ctx.round_end);
 
     if (static_cast<int>(scratch_.groups.size()) <= num_groups) {
@@ -345,7 +351,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     const double weight = 1.0 / (1.0 + laxity_rounds);
     const double t_min = lb_rem / rem;  // per-step progress value
 
-    for (const AllocationSegment& seg : entry.alloc.segments) {
+    for (const AllocationSegment& seg : entry.alloc->segments) {
       // The plan is recomputed from scratch every round, so an option
       // may run more steps at its degree than the segment nominally
       // holds; only the remaining step count caps it.
@@ -390,7 +396,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
   // Working assignments before placement, in reusable slots.
   int num_pendings = 0;
   int used_gpus = 0;  // running sum of pending degrees
-  auto append_pending = [&](Request* member, int degree, int steps,
+  auto append_pending = [&](Entry* member, int degree, int steps,
                             bool best_effort) {
     if (static_cast<int>(scratch_.pendings.size()) <= num_pendings) {
       scratch_.pendings.emplace_back();
@@ -408,8 +414,8 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
   for (int ei = 0; ei < num_entries; ++ei) {
     Entry& entry = scratch_.entries[ei];
     if (entry.chosen_degree == 0) continue;
-    append_pending(entry.request, entry.chosen_degree,
-                   entry.chosen_steps, /*best_effort=*/false);
+    append_pending(&entry, entry.chosen_degree, entry.chosen_steps,
+                   /*best_effort=*/false);
   }
 
   // ---- Stage 4: best-effort lane for definitely-late requests ----
@@ -420,7 +426,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     const Resolution res = entry.request->meta.resolution;
     const int rem = entry.request->RemainingSteps();
     const int steps = std::clamp(steps_in_round(res, 1), 1, rem);
-    append_pending(entry.request, 1, steps, /*best_effort=*/true);
+    append_pending(&entry, 1, steps, /*best_effort=*/true);
     entry.chosen_degree = 1;
     entry.chosen_steps = steps;
     if (trace_ != nullptr) {
@@ -448,7 +454,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
   // test).
   auto try_batch_join = [&](Entry& entry) {
     if (!options_.selective_batching) return false;
-    Request* guest = entry.request;
+    const Request* guest = entry.request;
     const Resolution res = guest->meta.resolution;
     if (costmodel::ResolutionIndex(res) >
         costmodel::ResolutionIndex(options_.batch_max_resolution)) {
@@ -456,7 +462,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     }
     for (int pi = 0; pi < num_pendings; ++pi) {
       Pending& host = scratch_.pendings[pi];
-      if (host.members.front()->meta.resolution != res) continue;
+      if (host.members.front()->request->meta.resolution != res) continue;
       if (guest->degree_cap > 0 && host.degree > guest->degree_cap) {
         continue;  // degraded retry may not ride a wider group
       }
@@ -467,26 +473,25 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
       const double t_batched = step_time(res, host.degree, new_bs);
       const int q_round = static_cast<int>(std::floor(tau / t_batched));
       int q = q_round;
-      for (Request* member : host.members) {
-        q = std::min(q, member->RemainingSteps());
+      for (const Entry* member : host.members) {
+        q = std::min(q, member->request->RemainingSteps());
       }
       q = std::min(q, guest->RemainingSteps());
       // A nearly-finished member would cap the batch below a full
       // round of work, idling the group; skip such merges.
       if (q < std::max(1, q_round)) continue;
-      auto safe = [&](const Request& member) {
-        const double slack = EffectiveDeadlineUs(member) -
-                             static_cast<double>(ctx.now);
+      auto safe = [&](const Entry& member) {
         // Pace headroom so jitter and round quantization do not push
         // batch members over their deadlines.
-        return member.RemainingSteps() * t_batched <= 0.8 * slack;
+        return member.request->RemainingSteps() * t_batched <=
+               0.8 * member.slack_us;
       };
-      bool all_safe = safe(*guest);
-      for (Request* member : host.members) {
+      bool all_safe = safe(entry);
+      for (const Entry* member : host.members) {
         if (!safe(*member)) all_safe = false;
       }
       if (!all_safe) continue;
-      host.members.push_back(guest);
+      host.members.push_back(&entry);
       host.steps = q;
       entry.chosen_degree = host.degree;
       entry.chosen_steps = q;
@@ -517,12 +522,11 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
       // is shorter than even one step (tiny-granularity guard).
       bool admitted = false;
       if (options_.elastic_scale_up && free > 0) {
-        for (const AllocationSegment& seg : entry.alloc.segments) {
+        for (const AllocationSegment& seg : entry.alloc->segments) {
           if (seg.degree > free) continue;
           const int q = std::clamp(steps_in_round(res, seg.degree), 1,
                                    std::min(seg.steps, rem));
-          append_pending(entry.request, seg.degree, q,
-                         /*best_effort=*/false);
+          append_pending(&entry, seg.degree, q, /*best_effort=*/false);
           entry.chosen_degree = seg.degree;
           entry.chosen_steps = q;
           admitted = true;
@@ -556,21 +560,22 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
         Pending& p = scratch_.pendings[pi];
         const int next_degree = p.degree * 2;
         int degree_limit = table_->max_degree();
-        for (Request* member : p.members) {
-          if (member->degree_cap > 0) {
-            degree_limit = std::min(degree_limit, member->degree_cap);
+        for (const Entry* member : p.members) {
+          if (member->request->degree_cap > 0) {
+            degree_limit =
+                std::min(degree_limit, member->request->degree_cap);
           }
         }
         if (next_degree > degree_limit) continue;
         if (p.degree > free) continue;  // needs p.degree extra GPUs
-        const Resolution res = p.members.front()->meta.resolution;
+        const Resolution res = p.members.front()->request->meta.resolution;
         const int bs = static_cast<int>(p.members.size());
         const double t_old = step_time(res, p.degree, bs);
         const double t_new = step_time(res, next_degree, bs);
         if (t_new >= t_old) continue;  // must actually benefit
         int q = static_cast<int>(std::floor(tau / t_new));
-        for (Request* member : p.members) {
-          q = std::min(q, member->RemainingSteps());
+        for (const Entry* member : p.members) {
+          q = std::min(q, member->request->RemainingSteps());
         }
         q = std::max(q, 1);
         const double benefit = (t_old - t_new) * q;
@@ -588,7 +593,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
         trace::TraceEvent ev;
         ev.kind = trace::TraceEventKind::kPlanChoice;
         ev.reason = trace::TraceReason::kScaleUp;
-        ev.request = best->members.front()->meta.id;
+        ev.request = best->members.front()->request->meta.id;
         ev.degree = best->degree;
         ev.steps = best->steps;
         ev.batch = static_cast<std::int32_t>(best->members.size());
@@ -615,7 +620,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
   if (options_.placement_preservation) {
     for (int pi = 0; pi < num_pendings; ++pi) {
       const Pending& p = scratch_.pendings[pi];
-      const Request& lead = *p.members.front();
+      const Request& lead = *p.members.front()->request;
       if (p.members.size() == 1 && lead.last_degree == p.degree &&
           lead.last_mask != 0 &&
           allocator.TryAllocateExact(lead.last_mask)) {
@@ -637,9 +642,9 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
             });
   for (std::size_t pi : scratch_.order) {
     Pending& p = scratch_.pendings[pi];
-    const GpuMask prefer = options_.placement_preservation
-                               ? p.members.front()->last_mask
-                               : 0;
+    const Request& lead = *p.members.front()->request;
+    const GpuMask prefer =
+        options_.placement_preservation ? lead.last_mask : 0;
     std::optional<GpuMask> mask = allocator.Allocate(p.degree, prefer);
     // Stages 4/5 size degrees against the free-GPU *count*; the
     // allocator places against the free *set*. If a degree that fit
@@ -648,7 +653,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     // aborting the round: roll elastic scale-ups back one doubling at
     // a time toward the pending's packed base, and as a last resort
     // drop it — the request stays queued and replans next round.
-    const Resolution res = p.members.front()->meta.resolution;
+    const Resolution res = lead.meta.resolution;
     const int bs = static_cast<int>(p.members.size());
     while (!mask.has_value() && p.degree > p.base_degree) {
       p.degree /= 2;
@@ -659,8 +664,8 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
         // budget the way Stage 5c would have at this degree.
         int q = static_cast<int>(
             std::floor(tau / step_time(res, p.degree, bs)));
-        for (Request* member : p.members) {
-          q = std::min(q, member->RemainingSteps());
+        for (const Entry* member : p.members) {
+          q = std::min(q, member->request->RemainingSteps());
         }
         p.steps = std::max(q, 1);
       }
@@ -668,7 +673,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
         trace::TraceEvent ev;
         ev.kind = trace::TraceEventKind::kPlanChoice;
         ev.reason = trace::TraceReason::kRollback;
-        ev.request = p.members.front()->meta.id;
+        ev.request = lead.meta.id;
         ev.degree = p.degree;
         ev.steps = p.steps;
         ev.batch = static_cast<std::int32_t>(p.members.size());
@@ -681,7 +686,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
         trace::TraceEvent ev;
         ev.kind = trace::TraceEventKind::kShed;
         ev.reason = trace::TraceReason::kFragmented;
-        ev.request = p.members.front()->meta.id;
+        ev.request = lead.meta.id;
         ev.degree = p.degree;
         ev.batch = static_cast<std::int32_t>(p.members.size());
         emit(ev);
@@ -698,8 +703,8 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     const Pending& p = scratch_.pendings[pi];
     serving::Assignment assignment;
     assignment.requests.reserve(p.members.size());
-    for (Request* member : p.members) {
-      assignment.requests.push_back(member->meta.id);
+    for (const Entry* member : p.members) {
+      assignment.requests.push_back(member->request->meta.id);
     }
     assignment.mask = scratch_.masks[pi];
     assignment.max_steps = p.steps;

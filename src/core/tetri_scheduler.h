@@ -143,9 +143,16 @@ class TetriScheduler : public serving::Scheduler {
   /** Working entry for one schedulable request within Plan. */
   struct Entry {
     serving::Request* request = nullptr;
-    /** Stage-1 answer; its segment buffer is reused across rounds. */
-    AllocationPlan alloc;
-    double slack_us = 0.0;   // deadline - vae - now
+    /** Stage-1 answer, read in place: a staircase plan, or `owned`. */
+    const AllocationPlan* alloc = nullptr;
+    /**
+     * Stage-1 answer of a degree-capped retry or the continuous
+     * planner, which no staircase holds; its segment buffer is reused
+     * across rounds.
+     */
+    AllocationPlan owned;
+    double deadline_eff_us = 0.0;  // EffectiveDeadlineUs, once per round
+    double slack_us = 0.0;         // deadline_eff_us - now
     bool late = false;       // definitely late already
     int chosen_degree = 0;   // 0 = not selected
     int chosen_steps = 0;
@@ -153,7 +160,7 @@ class TetriScheduler : public serving::Scheduler {
 
   /** Working assignment before placement. */
   struct Pending {
-    std::vector<serving::Request*> members;
+    std::vector<Entry*> members;
     int degree = 0;
     int steps = 0;
     /**
@@ -198,9 +205,11 @@ class TetriScheduler : public serving::Scheduler {
     // it persists across rounds while tau is stable — the common case,
     // since the engine drives fixed-length rounds — turning the
     // planner's O(degrees^2 * steps) candidate scan per request into a
-    // binary search. staircase_tau guards this and every other
-    // tau-keyed memo against callers that change the round window
-    // between Plan() calls.
+    // binary search. Breakpoints resolve on first lookup and entries
+    // point at the resolved plans, which live in each staircase's heap
+    // storage and so survive growth of these vectors. staircase_tau
+    // guards this and every other tau-keyed memo against callers that
+    // change the round window between Plan() calls.
     std::array<std::vector<PlanStaircase>, costmodel::kNumResolutions>
         staircases;
     double staircase_tau = -1.0;

@@ -700,10 +700,11 @@ ServingRuntime::NextEventDelayUs(TimeUs now) const
     if (request.state != serving::RequestState::kQueued) continue;
     TimeUs event =
         serving::DropAtUs(request, options_.drop_timeout_factor);
+    // A gate that has already passed is due now: it may have expired
+    // after the last PlanOnce skipped the request (e.g. while the
+    // planner paced its rounds), and nothing else will wake it.
     const auto gate = not_before_.find(id);
-    if (gate != not_before_.end() && gate->second > now) {
-      event = std::min(event, gate->second);
-    }
+    if (gate != not_before_.end()) event = std::min(event, gate->second);
     next = std::min(next, static_cast<double>(event - now));
   }
   return next < 0.0 ? 0.0 : next;

@@ -356,7 +356,8 @@ class ServingRuntime {
   void AdmitPending(std::vector<workload::TraceRequest>* pending);
   void PlanOnce(TimeUs now);
   /** Host-us until the next drop-deadline or backoff expiry among
-   * queued requests; +infinity when nothing is timed. */
+   * queued requests (0 when one is already due); +infinity when
+   * nothing is timed. */
   double NextEventDelayUs(TimeUs now) const;
   /** Optimistic lower bound on residual execution time. */
   TimeUs MinResidualSpanUs(costmodel::Resolution res, int steps) const;

@@ -14,16 +14,29 @@
 #define TETRI_UTIL_ROUNDING_H
 
 #include <cmath>
+#include <cstdint>
 
 #include "util/types.h"
 
 namespace tetri::util {
 
 /** Round a real duration in microseconds to TimeUs, half away from
- * zero (llround semantics — THE rounding rule). */
+ * zero (llround semantics — THE rounding rule).
+ *
+ * Inline because the serving loops call it once per queued request per
+ * tick. Below 2^62 the result equals std::llround exactly: truncation
+ * fits int64, x - trunc(x) is exact in double, and the fraction alone
+ * decides the step away from zero. Larger magnitudes, infinities and
+ * NaN (which fails the range test) take the library call. */
 inline TimeUs
 RoundUs(double us)
 {
+  if (std::fabs(us) < 0x1p62) {
+    const auto whole = static_cast<std::int64_t>(us);
+    const double frac = us - static_cast<double>(whole);
+    // Branch-free: fractions of jittered spans are unpredictable.
+    return whole + (frac >= 0.5) - (frac <= -0.5);
+  }
   return static_cast<TimeUs>(std::llround(us));
 }
 

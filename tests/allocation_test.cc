@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <vector>
 
 #include "audit/checkers.h"
@@ -216,47 +218,102 @@ TEST_F(RoundAwareTest, GenerousSlackStillCheapest)
   }
 }
 
+/** Breakpoints a staircase has resolved: a breakpoint's plan has no
+ * segments until its first lookup (plans[0] is the fallback). */
+int
+NumResolved(const PlanStaircase& staircase)
+{
+  return static_cast<int>(std::count_if(
+      staircase.plans.begin() + 1, staircase.plans.end(),
+      [](const AllocationPlan& p) { return !p.segments.empty(); }));
+}
+
 TEST_F(AllocationTest, StaircaseMatchesDirectScanEverywhere)
 {
   // The staircase must reproduce RoundAwarePlanInto bit for bit at
   // every slack, in particular straddling each feasibility breakpoint
   // where the winner changes, and below the smallest breakpoint where
-  // the fallback kicks in.
+  // the fallback kicks in. Breakpoints resolve lazily, so the grid runs
+  // on a fresh staircase in forward, reverse and shuffled order: the
+  // answer must not depend on which breakpoints were resolved before,
+  // and one lookup may resolve at most one breakpoint.
+  enum class Order { kForward, kReverse, kShuffled };
   for (Resolution res : kAllResolutions) {
     std::vector<RoundDegreeInfo> info;
     const double tau = 4.0 * table_.StepTimeUs(Resolution::k1024, 4);
     BuildRoundDegreeInfo(table_, res, tau, &info);
     for (int steps : {1, 2, 7, 23, 50}) {
-      PlanStaircase staircase;
-      BuildPlanStaircase(info, steps, tau, &staircase);
-      ASSERT_TRUE(staircase.built);
-      ASSERT_FALSE(staircase.thresholds.empty());
+      for (Order order : {Order::kForward, Order::kReverse,
+                          Order::kShuffled}) {
+        PlanStaircase staircase;
+        BuildPlanStaircase(info, steps, tau, &staircase);
+        ASSERT_TRUE(staircase.built);
+        ASSERT_FALSE(staircase.thresholds.empty());
+        EXPECT_EQ(NumResolved(staircase), 0);
 
-      std::vector<double> slacks = {0.0, staircase.thresholds.front() / 2,
-                                    staircase.thresholds.back() * 2};
-      for (double t : staircase.thresholds) {
-        slacks.push_back(std::nextafter(t, 0.0));  // just infeasible
-        slacks.push_back(t);                       // boundary inclusive
-        slacks.push_back(std::nextafter(t, 1e300));  // just feasible
-      }
-      for (double slack : slacks) {
-        AllocationPlan direct;
-        RoundAwarePlanInto(info, steps, slack, tau, &direct);
-        AllocationPlan cached;
-        LookupRoundPlan(staircase, info, slack, &cached);
-        ASSERT_EQ(direct.feasible, cached.feasible)
-            << "res " << costmodel::ResolutionIndex(res) << " steps "
-            << steps << " slack " << slack;
-        EXPECT_EQ(direct.exec_time_us, cached.exec_time_us);
-        EXPECT_EQ(direct.gpu_time_us, cached.gpu_time_us);
-        ASSERT_EQ(direct.segments.size(), cached.segments.size());
-        for (std::size_t i = 0; i < direct.segments.size(); ++i) {
-          EXPECT_EQ(direct.segments[i].degree, cached.segments[i].degree);
-          EXPECT_EQ(direct.segments[i].steps, cached.segments[i].steps);
+        std::vector<double> slacks = {0.0,
+                                      staircase.thresholds.front() / 2,
+                                      staircase.thresholds.back() * 2};
+        for (double t : staircase.thresholds) {
+          slacks.push_back(std::nextafter(t, 0.0));  // just infeasible
+          slacks.push_back(t);                       // boundary inclusive
+          slacks.push_back(std::nextafter(t, 1e300));  // just feasible
         }
+        if (order == Order::kReverse) {
+          std::reverse(slacks.begin(), slacks.end());
+        } else if (order == Order::kShuffled) {
+          std::mt19937 rng(static_cast<unsigned>(steps));
+          std::shuffle(slacks.begin(), slacks.end(), rng);
+        }
+        for (double slack : slacks) {
+          AllocationPlan direct;
+          RoundAwarePlanInto(info, steps, slack, tau, &direct);
+          const int resolved_before = NumResolved(staircase);
+          const AllocationPlan& cached =
+              ResolveRoundPlan(&staircase, info, slack);
+          EXPECT_LE(NumResolved(staircase), resolved_before + 1);
+          ASSERT_EQ(direct.feasible, cached.feasible)
+              << "res " << costmodel::ResolutionIndex(res) << " steps "
+              << steps << " slack " << slack;
+          EXPECT_EQ(direct.exec_time_us, cached.exec_time_us);
+          EXPECT_EQ(direct.gpu_time_us, cached.gpu_time_us);
+          ASSERT_EQ(direct.segments.size(), cached.segments.size());
+          for (std::size_t i = 0; i < direct.segments.size(); ++i) {
+            EXPECT_EQ(direct.segments[i].degree,
+                      cached.segments[i].degree);
+            EXPECT_EQ(direct.segments[i].steps, cached.segments[i].steps);
+          }
+        }
+        // The grid lands in every breakpoint.
+        EXPECT_EQ(NumResolved(staircase),
+                  static_cast<int>(staircase.thresholds.size()));
       }
     }
   }
+}
+
+TEST_F(AllocationTest, ResolvedPlansSurviveStaircaseMoves)
+{
+  // The scheduler keeps staircases in a vector that grows while Stage-1
+  // entries hold references to plans already resolved in it.
+  const double tau = 4.0 * table_.StepTimeUs(Resolution::k1024, 4);
+  std::vector<RoundDegreeInfo> info;
+  BuildRoundDegreeInfo(table_, Resolution::k1024, tau, &info);
+  std::vector<PlanStaircase> staircases(2);
+  BuildPlanStaircase(info, 1, tau, &staircases[1]);
+  const AllocationPlan& late = ResolveRoundPlan(&staircases[1], info, 0.0);
+  const AllocationPlan& fits = ResolveRoundPlan(&staircases[1], info, 1e12);
+  const AllocationPlan late_copy = late;
+  const AllocationPlan fits_copy = fits;
+  staircases.resize(64);  // reallocates: every staircase moves
+  EXPECT_EQ(&late, &ResolveRoundPlan(&staircases[1], info, 0.0));
+  EXPECT_EQ(&fits, &ResolveRoundPlan(&staircases[1], info, 1e12));
+  EXPECT_FALSE(late.feasible);
+  EXPECT_TRUE(fits.feasible);
+  EXPECT_EQ(late.gpu_time_us, late_copy.gpu_time_us);
+  EXPECT_EQ(fits.exec_time_us, fits_copy.exec_time_us);
+  ASSERT_EQ(fits.segments.size(), fits_copy.segments.size());
+  EXPECT_EQ(fits.segments[0].degree, fits_copy.segments[0].degree);
 }
 
 TEST_F(AllocationTest, AuditModeSweepIsViolationFree)

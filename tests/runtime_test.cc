@@ -11,6 +11,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -246,9 +249,65 @@ TEST(RuntimeServingTest, NegativeBudgetIsDroppedAtFirstRoundWithoutGate)
   EXPECT_EQ(runtime.stats().completed, 0u);
 }
 
-TEST(RuntimeServingTest, ChaosAbortRequeuesAndRetries)
+/**
+ * Forwards to another scheduler, but holds every Plan() until Open().
+ * A test that must know what the first round sees opens the gate once
+ * it has submitted everything, so the outcome does not depend on how
+ * the OS interleaves the producer with the planner thread.
+ */
+class GatedScheduler : public serving::Scheduler {
+ public:
+  explicit GatedScheduler(serving::Scheduler* inner) : inner_(inner) {}
+
+  std::string Name() const override { return inner_->Name(); }
+  serving::SchedulingMode Mode() const override { return inner_->Mode(); }
+  TimeUs RoundDurationUs() const override
+  {
+    return inner_->RoundDurationUs();
+  }
+  void set_trace(trace::TraceSink* sink) override
+  {
+    inner_->set_trace(sink);
+  }
+
+  serving::RoundPlan Plan(const serving::ScheduleContext& ctx) override
+  {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      open_cv_.wait(lock, [this] { return open_; });
+    }
+    return inner_->Plan(ctx);
+  }
+
+  void Open()
+  {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    open_cv_.notify_all();
+  }
+
+ private:
+  serving::Scheduler* inner_;
+  std::mutex mu_;
+  std::condition_variable open_cv_;
+  bool open_ = false;
+};
+
+/**
+ * Submit ten requests under three injected aborts and drain. Every
+ * request must complete: the default RetryPolicy allows two retries,
+ * so no single request may absorb all three aborts. Without the gate,
+ * a producer descheduled after its first Submit let the planner
+ * dispatch request 0 alone three rounds in a row, dropping it.
+ * @p pause_after_first reproduces that interleaving on purpose.
+ */
+void
+RunChaosAbortRequeue(bool pause_after_first)
 {
-  core::TetriScheduler scheduler(&F().table);
+  core::TetriScheduler tetri(&F().table);
+  GatedScheduler scheduler(&tetri);
   RuntimeOptions options;
   std::atomic<int> aborts_left{3};
   options.chaos_should_abort = [&](const serving::Assignment&) {
@@ -263,7 +322,11 @@ TEST(RuntimeServingTest, ChaosAbortRequeuesAndRetries)
   for (int i = 0; i < kRequests; ++i) {
     EXPECT_EQ(runtime.Submit(Resolution::k256, 2, kAmpleBudgetUs),
               AdmitOutcome::kAdmitted);
+    if (pause_after_first && i == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
   }
+  scheduler.Open();
   runtime.Drain();
   const RuntimeStats stats = runtime.stats();
   // The first assignments were chaos-killed, requeued, and retried to
@@ -272,6 +335,41 @@ TEST(RuntimeServingTest, ChaosAbortRequeuesAndRetries)
   EXPECT_GT(stats.requeues, 0u);
   EXPECT_EQ(completed.load(), kRequests);
   EXPECT_EQ(stats.completed, kRequests);
+}
+
+TEST(RuntimeServingTest, ChaosAbortRequeuesAndRetries)
+{
+  RunChaosAbortRequeue(/*pause_after_first=*/false);
+}
+
+TEST(RuntimeServingTest, ChaosAbortSurvivesProducerStallAfterFirstSubmit)
+{
+  RunChaosAbortRequeue(/*pause_after_first=*/true);
+}
+
+TEST(RuntimeServingTest, BackoffExpiringWhileThePlannerPacesStillWakesIt)
+{
+  // A retry backoff (100-300 us at the default base) that expires
+  // while the planner sleeps out its round pacing must still count as
+  // due when the planner next computes its wait. Otherwise it sleeps
+  // until the request's drop deadline and drops a request it could
+  // have retried at once.
+  core::TetriScheduler scheduler(&F().table);
+  RuntimeOptions options;
+  options.round_interval_us = 2000.0;
+  options.drop_timeout_factor = 1.0;
+  std::atomic<int> aborts_left{1};
+  options.chaos_should_abort = [&](const serving::Assignment&) {
+    return aborts_left.fetch_sub(1) > 0;
+  };
+  ServingRuntime runtime(&scheduler, &F().topo, &F().table, options);
+  EXPECT_EQ(runtime.Submit(Resolution::k256, 2, 2'000'000),
+            AdmitOutcome::kAdmitted);
+  runtime.Drain();
+  const RuntimeStats stats = runtime.stats();
+  EXPECT_EQ(stats.aborted_assignments, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.dropped, 0u);
 }
 
 TEST(RuntimeServingTest, TraceEventsCoverTheLifecycle)

@@ -1,20 +1,104 @@
 /**
  * @file
  * Unit tests for util: RNG determinism and distributions, statistics
- * accumulators, table rendering.
+ * accumulators, table rendering, and the inline rounding rule.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "util/rng.h"
+#include "util/rounding.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/types.h"
 
 namespace tetri {
 namespace {
+
+// util::RoundUs inlines llround below 2^62 and defers to the library
+// above it; the two must agree everywhere.
+void
+ExpectRoundsLikeLlround(double x)
+{
+  ASSERT_EQ(util::RoundUs(x), std::llround(x)) << std::hexfloat << x;
+}
+
+TEST(RoundingTest, RoundUsMatchesLlroundAtHalvesAndTheirNeighbours)
+{
+  for (int k = -5000; k <= 5000; ++k) {
+    for (double x : {k + 0.5, k - 0.5, static_cast<double>(k)}) {
+      ExpectRoundsLikeLlround(x);
+      ExpectRoundsLikeLlround(std::nextafter(x, -1e300));
+      ExpectRoundsLikeLlround(std::nextafter(x, 1e300));
+    }
+  }
+  // Large halves, where the fraction is the last representable bit.
+  for (double k = 1.0; k < 0x1p53; k *= 3.0) {
+    for (double x : {k + 0.5, -(k + 0.5)}) {
+      ExpectRoundsLikeLlround(x);
+      ExpectRoundsLikeLlround(std::nextafter(x, 0.0));
+      ExpectRoundsLikeLlround(std::nextafter(x, x * 2));
+    }
+  }
+  // The classic floor(x + 0.5) trap: the largest double below 0.5.
+  EXPECT_EQ(util::RoundUs(std::nextafter(0.5, 0.0)), 0);
+  EXPECT_EQ(util::RoundUs(-std::nextafter(0.5, 0.0)), 0);
+  EXPECT_EQ(util::RoundUs(0.5), 1);
+  EXPECT_EQ(util::RoundUs(-0.5), -1);
+  EXPECT_EQ(util::RoundUs(-2.5), -3);
+  EXPECT_EQ(util::RoundUs(-0.0), 0);
+}
+
+TEST(RoundingTest, RoundUsMatchesLlroundAroundPowersOfTwo)
+{
+  for (int e : {51, 52, 53, 61, 62}) {
+    const double p = std::ldexp(1.0, e);
+    for (double base : {p, -p}) {
+      double x = base;
+      for (int i = 0; i < 64; ++i) x = std::nextafter(x, 0.0);
+      for (int i = 0; i < 128; ++i) {
+        ExpectRoundsLikeLlround(x);
+        ExpectRoundsLikeLlround(x + 0.5);
+        x = std::nextafter(x, base * 2);
+      }
+    }
+  }
+}
+
+TEST(RoundingTest, RoundUsNonFiniteTakesTheLibraryPath)
+{
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double x : {inf, -inf, nan, -nan, 0x1p62, -0x1p62, 0x1p63,
+                   -0x1p63, 1e300, -1e300}) {
+    ExpectRoundsLikeLlround(x);
+  }
+}
+
+TEST(RoundingTest, RoundUsMatchesLlroundOnRandomDoubles)
+{
+  Rng rng(2024);
+  // Uniform mantissas at every binary magnitude from 2^-4 to 2^63.
+  for (int e = -4; e <= 63; ++e) {
+    const double scale = std::ldexp(1.0, e);
+    for (int i = 0; i < 16'000; ++i) {
+      const double x = rng.NextDouble() * scale;
+      ExpectRoundsLikeLlround(x);
+      ExpectRoundsLikeLlround(-x);
+    }
+  }
+  // Arbitrary bit patterns within the int64 range.
+  for (int i = 0; i < 200'000; ++i) {
+    const double x = std::bit_cast<double>(rng.NextU64());
+    if (!(std::fabs(x) < 0x1p63)) continue;
+    ExpectRoundsLikeLlround(x);
+  }
+}
 
 TEST(RngTest, DeterministicForSameSeed)
 {
