@@ -2,8 +2,9 @@
  * @file
  * Microbenchmarks of TetriServe's control plane: the group-knapsack DP
  * (Algorithm 1), deadline-aware allocation, round-aware planning, the
- * Stage-1 staircase (cold build and warm lookups), and a full Plan()
- * invocation at varying queue depths — substantiating
+ * Stage-1 staircase (cold build and warm lookups), a full Plan()
+ * invocation at varying queue depths, and the engine's jittered span
+ * per dispatch — substantiating
  * the paper's claim of millisecond control-plane latency (§5, Table 6).
  *
  * Two modes:
@@ -59,7 +60,9 @@
 #include "costmodel/model_config.h"
 #include "serving/request_tracker.h"
 #include "util/check.h"
+#include "util/jitter.h"
 #include "util/rng.h"
+#include "util/rounding.h"
 #include "workload/slo.h"
 
 namespace tetri {
@@ -263,6 +266,52 @@ BM_FullPlan(benchmark::State& state)
   }
 }
 BENCHMARK(BM_FullPlan)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
+
+// One dispatch's jittered span, as the engine prices it: a 95 ms step
+// mean and a cv of 0.5%, inside Table 1's profiled range. The exact
+// variant is the per-step libm loop util::JitteredSpanUs falls back
+// to; per_step is the figure to compare.
+constexpr double kJitterMeanUs = 95'000.0;
+constexpr double kJitterCv = 0.005;
+
+void
+SetTimePerStep(benchmark::State& state, int steps)
+{
+  state.counters["per_step"] = benchmark::Counter(
+      static_cast<double>(steps),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+void
+BM_JitterSpanExact(benchmark::State& state)
+{
+  const int steps = static_cast<int>(state.range(0));
+  Rng rng(17);
+  for (auto _ : state) {
+    double exec_us = 0.0;
+    for (int s = 0; s < steps; ++s) {
+      exec_us +=
+          kJitterMeanUs * std::max(0.5, rng.NextGaussian(1.0, kJitterCv));
+    }
+    benchmark::DoNotOptimize(util::RoundUs(exec_us));
+  }
+  SetTimePerStep(state, steps);
+}
+BENCHMARK(BM_JitterSpanExact)->Arg(4)->Arg(28)->Arg(50);
+
+void
+BM_JitterSpanCertified(benchmark::State& state)
+{
+  const int steps = static_cast<int>(state.range(0));
+  Rng rng(17);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::JitteredSpanUs(
+        &rng, kJitterMeanUs, kJitterCv, steps, nullptr));
+  }
+  SetTimePerStep(state, steps);
+}
+BENCHMARK(BM_JitterSpanCertified)->Arg(4)->Arg(28)->Arg(50);
 
 // ---------------------------------------------------------------
 // Chaos cycle (--chaos-seed=N [--fail-gpus=K])

@@ -112,10 +112,22 @@ TetriScheduler::EffectiveDeadlineUs(const Request& req) const
 serving::RoundPlan
 TetriScheduler::Plan(const serving::ScheduleContext& ctx)
 {
+  serving::RoundPlan plan;
+  PlanInto(ctx, &plan);
+  return plan;
+}
+
+void
+TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
+                         serving::RoundPlan* out)
+{
+  for (serving::Assignment& a : out->assignments) {
+    scratch_.request_buffers.push_back(std::move(a.requests));
+  }
+  out->assignments.clear();
   const double tau = static_cast<double>(ctx.round_end - ctx.now);
   const int capacity = cluster::Popcount(ctx.free_gpus);
-  serving::RoundPlan plan;
-  if (capacity == 0 || ctx.schedulable->empty()) return plan;
+  if (capacity == 0 || ctx.schedulable->empty()) return;
 
   // Decision trace (§trace): every emission site below is behind this
   // one pointer test, so an untraced Plan() pays nothing. The round
@@ -697,33 +709,38 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
   }
 
   // ---- Emit ----
-  plan.assignments.reserve(num_pendings);
+  std::vector<serving::Assignment>& assignments = out->assignments;
+  assignments.reserve(num_pendings);
   for (int pi = 0; pi < num_pendings; ++pi) {
     if (scratch_.masks[pi] == 0) continue;
     const Pending& p = scratch_.pendings[pi];
-    serving::Assignment assignment;
-    assignment.requests.reserve(p.members.size());
+    serving::Assignment& assignment = assignments.emplace_back();
+    if (!scratch_.request_buffers.empty()) {
+      assignment.requests = std::move(scratch_.request_buffers.back());
+      scratch_.request_buffers.pop_back();
+      assignment.requests.clear();
+    }
+    assignment.requests.reserve(std::max(
+        p.members.size(), static_cast<std::size_t>(options_.max_batch)));
     for (const Entry* member : p.members) {
       assignment.requests.push_back(member->request->meta.id);
     }
     assignment.mask = scratch_.masks[pi];
     assignment.max_steps = p.steps;
-    plan.assignments.push_back(std::move(assignment));
   }
   if (trace_ != nullptr) {
     GpuMask placed = 0;
-    for (const serving::Assignment& a : plan.assignments) {
+    for (const serving::Assignment& a : assignments) {
       placed |= a.mask;
     }
     trace::TraceEvent ev;
     ev.kind = trace::TraceEventKind::kRoundEnd;
     ev.mask = placed;
-    ev.steps = static_cast<std::int32_t>(plan.assignments.size());
+    ev.steps = static_cast<std::int32_t>(assignments.size());
     ev.value = static_cast<double>(cluster::Popcount(placed)) /
                static_cast<double>(capacity);
     emit(ev);
   }
-  return plan;
 }
 
 }  // namespace tetri::core

@@ -102,6 +102,16 @@ class TetriScheduler : public serving::Scheduler {
   serving::RoundPlan Plan(const serving::ScheduleContext& ctx) override;
 
   /**
+   * The planner. Refills @p out in place: its `assignments` vector and
+   * the previous round's `requests` buffers are reused (the latter
+   * through a pool, since the assignment count changes from round to
+   * round), so a warm call into the caller's previous plan allocates
+   * nothing.
+   */
+  void PlanInto(const serving::ScheduleContext& ctx,
+                serving::RoundPlan* out) override;
+
+  /**
    * Attach the decision-trace sink (§trace): every Plan() then emits
    * the round span, per-request allocation candidates, stage-tagged
    * plan choices, overload sheds, and degrade events. All emission is
@@ -180,7 +190,8 @@ class TetriScheduler : public serving::Scheduler {
    * per-resolution round degree info, and the memoized step-time
    * cache (the DP's own arena lives in the packer). Buffers only grow;
    * once the queue-depth high-water mark is reached, a Plan() call
-   * performs no heap allocation beyond the emitted RoundPlan itself.
+   * performs no heap allocation beyond the emitted RoundPlan itself,
+   * and a PlanInto() call into the previous round's plan none at all.
    */
   struct PlanScratch {
     std::vector<Entry> entries;
@@ -220,6 +231,9 @@ class TetriScheduler : public serving::Scheduler {
     std::vector<RoundDegreeInfo> capped_info;
     packers::PackResult packed;
     costmodel::StepTimeCache step_cache;
+    // Request-id buffers recycled from the plan PlanInto refills; each
+    // holds at least max_batch ids, enough for any assignment.
+    std::vector<std::vector<RequestId>> request_buffers;
   };
 
   double EffectiveDeadlineUs(const serving::Request& req) const;

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "util/check.h"
-#include "util/rounding.h"
+#include "util/jitter.h"
 
 namespace tetri::serving {
 
@@ -129,26 +129,18 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
       prices_.StepTimeUs(res, batch, assignment.mask) *
       StragglerFactor(assignment.mask);
   const double cv = prices_.JitterCv(res, degree);
-  double exec_us = 0.0;
-  // Per-step boundaries are only materialized when tracing; the rng
-  // draws are identical either way, so enabling a trace sink cannot
-  // perturb the simulated schedule.
-  step_ends_.clear();
-  for (int s = 0; s < steps; ++s) {
-    exec_us += mean_us * std::max(0.5, rng_.NextGaussian(1.0, cv));
-    if (trace_ != nullptr) {
-      step_ends_.push_back(util::RoundUs(exec_us));
-    }
-  }
-
   // One rounding rule for the assignment's wall-clock span: exec time
   // is converted to integer microseconds exactly once (llround), and
   // every consumer — the completion event, the timeline entry, the
   // busy-GPU accumulator, and per-request GPU time — uses that same
   // value. Truncating here while accumulating the raw double into
   // busy_gpu_us_ would let utilization's numerator drift from the sum
-  // of timeline spans by up to a microsecond per dispatch.
-  const TimeUs exec_span_us = util::RoundUs(exec_us);
+  // of timeline spans by up to a microsecond per dispatch. Per-step
+  // boundaries are only materialized when tracing; the rng draws are
+  // identical either way, so enabling a trace sink cannot perturb the
+  // simulated schedule.
+  const TimeUs exec_span_us = util::JitteredSpanUs(
+      &rng_, mean_us, cv, steps, trace_ != nullptr ? &step_ends_ : nullptr);
   busy_ |= assignment.mask;
   ++num_assignments_;
   busy_gpu_us_ +=

@@ -75,6 +75,17 @@ class Scheduler {
   virtual RoundPlan Plan(const ScheduleContext& ctx) = 0;
 
   /**
+   * Plan() into @p out, which holds the caller's previous plan (or
+   * nothing). A policy that can refill the previous plan's buffers in
+   * place overrides this, so a serving loop that keeps one RoundPlan
+   * for a whole run does not allocate a plan per round; the default
+   * replaces @p out with Plan()'s answer.
+   */
+  virtual void PlanInto(const ScheduleContext& ctx, RoundPlan* out) {
+    *out = Plan(ctx);
+  }
+
+  /**
    * Attach a decision-trace sink (nullable, not owned). Policies that
    * emit per-round decision events (see trace/sink.h) override this;
    * the default ignores it, so baselines stay trace-free. The serving

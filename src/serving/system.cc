@@ -121,11 +121,18 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
     schedulable->resize(kept);
   };
 
-  // One snapshot buffer for the run: every tick refills it in place,
-  // so a warm tick takes no snapshot allocation. Plan() is done with
-  // it before Dispatch can re-enter invoke_scheduler.
+  // One snapshot buffer and one plan for the run: every tick refills
+  // both in place, so a warm tick allocates neither. That relies on
+  // invoke_scheduler never running inside its own dispatch loop: a
+  // nested call would refill the plan under the loop's iterator.
+  // Dispatch only schedules simulator events, so nothing re-enters
+  // today; the flag makes any future path that does fail loudly.
   std::vector<Request*> schedulable;
+  RoundPlan plan;
+  bool dispatching = false;
   auto invoke_scheduler = [&]() {
+    TETRI_CHECK_MSG(!dispatching,
+                    "invoke_scheduler re-entered while dispatching");
     const TimeUs now = simulator.Now();
     // One snapshot per tick: drop from it, schedule the survivors.
     tracker.Schedulable(now, &schedulable);
@@ -142,7 +149,7 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
     ctx.table = &table_;
 
     const util::WallTimer wall;
-    RoundPlan plan = scheduler->Plan(ctx);
+    scheduler->PlanInto(ctx, &plan);
     const double wall_us = wall.ElapsedUs();
     ++result.num_scheduler_calls;
     result.scheduler_wall_us_total += wall_us;
@@ -167,6 +174,7 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
     }
 
     GpuMask used = 0;
+    dispatching = true;
     for (const Assignment& a : plan.assignments) {
       TETRI_CHECK_MSG((a.mask & used) == 0,
                       "plan double-books GPUs "
@@ -176,6 +184,7 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
       used |= a.mask;
       engine.Dispatch(a);
     }
+    dispatching = false;
   };
 
   // Arrival events. An event-driven policy plans once per arrival,

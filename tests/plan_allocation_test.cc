@@ -1,15 +1,18 @@
 /**
  * @file
- * Heap traffic of a warm TetriScheduler::Plan() (DESIGN.md §8): once
- * the planning arena and memos have seen a context, planning it again
- * allocates exactly the emitted RoundPlan — one buffer for
- * `assignments` plus one `requests` buffer per assignment — and
- * nothing else. A counting global operator new observes every
- * allocation made while a Plan() call runs (the over-aligned forms are
- * not replaced; nothing the planner allocates is over-aligned).
+ * Heap traffic of a warm TetriScheduler (DESIGN.md §8): once the
+ * planning arena and memos have seen a context, Plan() allocates
+ * exactly the emitted RoundPlan — one buffer for `assignments` plus one
+ * `requests` buffer per assignment — and PlanInto() into the previous
+ * round's plan allocates nothing, however the assignment count moves.
+ * A whole ServingSystem::Run, which keeps one plan for the run, stays
+ * within a few allocations per request. A counting global operator new
+ * observes every allocation made while armed (the over-aligned forms
+ * are not replaced; nothing measured here is over-aligned).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -18,7 +21,9 @@
 #include "core/tetri_scheduler.h"
 #include "costmodel/model_config.h"
 #include "serving/request_tracker.h"
+#include "serving/system.h"
 #include "workload/slo.h"
+#include "workload/trace.h"
 
 namespace {
 
@@ -63,6 +68,21 @@ using costmodel::LatencyTable;
 using costmodel::ModelConfig;
 using costmodel::Resolution;
 using cluster::Topology;
+
+bool
+SamePlan(const serving::RoundPlan& a, const serving::RoundPlan& b)
+{
+  if (a.assignments.size() != b.assignments.size()) return false;
+  for (std::size_t i = 0; i < a.assignments.size(); ++i) {
+    const serving::Assignment& x = a.assignments[i];
+    const serving::Assignment& y = b.assignments[i];
+    if (x.requests != y.requests || x.mask != y.mask ||
+        x.max_steps != y.max_steps) {
+      return false;
+    }
+  }
+  return true;
+}
 
 class PlanAllocationTest : public ::testing::Test {
  protected:
@@ -214,6 +234,90 @@ TEST_F(PlanAllocationTest, WarmPlanAcrossRoundsReusesTheArena)
           << "now " << now << " free " << cluster::MaskToString(free);
     }
   }
+}
+
+TEST_F(PlanAllocationTest, WarmPlanIntoReusedPlanAllocatesNothing)
+{
+  // One RoundPlan carried across calls whose assignment counts differ:
+  // the previous round's request buffers are pooled and reissued, so
+  // once every context has been seen a call allocates nothing.
+  AdmitMixedQueue();
+  TetriScheduler scheduler(&table_);
+  struct Round {
+    TimeUs now;
+    GpuMask free;
+  };
+  const Round kRounds[] = {{0, 0xFF},
+                           {400'000, 0b00000011},
+                           {800'000, 0b11011110},
+                           {1'600'000, 0b00010000},
+                           {3'200'000, 0xFF}};
+  serving::RoundPlan plan;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Round& r : kRounds) {
+      scheduler.PlanInto(MakeContext(r.now, r.free, scheduler), &plan);
+    }
+  }
+  std::vector<std::size_t> counts;
+  for (const Round& r : kRounds) {
+    const serving::ScheduleContext ctx = MakeContext(r.now, r.free, scheduler);
+    g_allocations = 0;
+    g_armed = true;
+    scheduler.PlanInto(ctx, &plan);
+    g_armed = false;
+    EXPECT_EQ(g_allocations, 0)
+        << "now " << r.now << " free " << cluster::MaskToString(r.free);
+    EXPECT_TRUE(SamePlan(plan, scheduler.Plan(ctx)));
+    counts.push_back(plan.assignments.size());
+  }
+  std::sort(counts.begin(), counts.end());
+  EXPECT_GE(std::unique(counts.begin(), counts.end()) - counts.begin(), 3)
+      << "the rounds should emit different assignment counts";
+}
+
+TEST_F(PlanAllocationTest, PlanIntoFreshPlanMatchesPlan)
+{
+  // Plan() is PlanInto() into a fresh plan; a reused plan that held a
+  // different round must come out the same as a fresh one.
+  AdmitMixedQueue();
+  TetriScheduler reused(&table_);
+  TetriScheduler fresh(&table_);
+  serving::RoundPlan plan;
+  for (TimeUs now : {0, 400'000, 800'000, 1'600'000}) {
+    for (GpuMask free : {GpuMask{0xFF}, GpuMask{0b00111100}}) {
+      reused.PlanInto(MakeContext(now, free, reused), &plan);
+      EXPECT_TRUE(SamePlan(plan, fresh.Plan(MakeContext(now, free, fresh))))
+          << "now " << now << " free " << cluster::MaskToString(free);
+    }
+  }
+}
+
+TEST(RunAllocationTest, ReplayAllocatesFewBlocksPerRequest)
+{
+  // A whole 2k-request FLUX replay on 8xH100: setup, arrivals, every
+  // round, every dispatch and the records. What remains is per request
+  // (its tracker entry and prompt copy, its latent entry) or per
+  // planner memo key; no round allocates. A fresh plan per round
+  // costs ~14 more blocks per request.
+  const ModelConfig model = ModelConfig::FluxDev();
+  const Topology topo = Topology::H100Node(8);
+  serving::ServingSystem system(&topo, &model);
+  workload::TraceSpec spec;
+  spec.num_requests = 2000;
+  spec.arrival_rate_per_min = 12.0;
+  spec.mix = workload::ResolutionMix::Skewed();
+  spec.seed = 4;
+  const workload::Trace trace = workload::BuildTrace(spec);
+  TetriScheduler scheduler(&system.table());
+  g_allocations = 0;
+  g_armed = true;
+  const serving::ServingResult result = system.Run(&scheduler, trace);
+  g_armed = false;
+  ASSERT_EQ(result.records.size(), trace.requests.size());
+  EXPECT_GT(result.num_assignments, static_cast<int>(trace.requests.size()));
+  const double per_request = static_cast<double>(g_allocations) /
+                             static_cast<double>(trace.requests.size());
+  EXPECT_LE(per_request, 8.0) << g_allocations << " allocations";
 }
 
 }  // namespace
