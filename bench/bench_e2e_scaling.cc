@@ -10,17 +10,23 @@
  * event-driven EDF-RSSP and xDiT fixed SP=2 baselines. Smoke mode runs
  * N = 1k, 4k, 16k, 64k and full mode adds 256k and 1M.
  *
- * Each (scheduler, N) is replayed several times (enough passes to
- * simulate at least kMinSimulated requests, never fewer than two) and
- * the fastest pass is kept, so a descheduled pass on a shared machine
- * does not count. Passes interleave across schedulers and lengths for
+ * Every (scheduler, N) gets the same number of timed samples, and
+ * every sample simulates about the same number of requests: it replays
+ * the trace ceil(K / N) times under one clock pair, K being the
+ * largest N of the sweep. The fastest sample is kept, so a
+ * descheduled sample on a shared machine does not count, and each
+ * length's minimum is drawn from as many equally long draws as every
+ * other length's (keeping the fastest of many short passes at small N
+ * and of few long ones at large N would bias the large-over-small
+ * ratio upward). Samples interleave across schedulers and lengths for
  * the same reason. Trace generation and latency-table profiling are
- * outside the timed region; only Run() is on the clock. Every pass
- * must conserve requests (completed + dropped == N) and repeat the
- * first pass's results exactly, or the bench aborts.
+ * outside the timed region; only Run() is on the clock, and results
+ * are checked after the clock stops. Every replay must conserve
+ * requests (completed + dropped == N) and repeat the first replay's
+ * results exactly, or the bench aborts.
  *
  * Besides the per-request cost, each row reports the share of the
- * fastest pass spent inside Scheduler::Plan and the per-request cost
+ * fastest sample spent inside Scheduler::Plan and the per-request cost
  * outside it (non_plan_us_per_request: Run wall minus
  * ServingResult::scheduler_wall_us_total, per request) — the serving
  * loop, dispatch and simulator without the policy.
@@ -55,10 +61,9 @@
 namespace tetri {
 namespace {
 
-/** Passes per N continue until at least this many requests have been
- * simulated (smoke / full). */
-constexpr int kMinSimulatedSmoke = 256'000;
-constexpr int kMinSimulatedFull = 1'000'000;
+/** Timed samples per (scheduler, N) (smoke / full). */
+constexpr int kSamplesSmoke = 5;
+constexpr int kSamplesFull = 2;
 
 /** The policies swept, in report order. */
 enum class Policy { kTetri, kEdf, kFixedSp2 };
@@ -82,18 +87,21 @@ MakeScheduler(Policy policy, const costmodel::LatencyTable* table)
 struct ScalingRow {
   std::string scheduler;
   int num_requests = 0;
-  int reps = 0;
+  int samples = 0;
+  /** Replays of the trace inside one timed sample. */
+  int replays_per_sample = 0;
+  /** Wall of the fastest sample over its replays, per replay. */
   double best_wall_s = 0.0;
   double req_per_s = 0.0;
   double us_per_request = 0.0;
-  /** Per-request wall of the fastest pass outside Scheduler::Plan. */
+  /** Per-request wall of the fastest sample outside Scheduler::Plan. */
   double non_plan_us_per_request = 0.0;
-  /** Share of the fastest pass spent inside Scheduler::Plan. */
+  /** Share of the fastest sample spent inside Scheduler::Plan. */
   double plan_frac = 0.0;
   double slo_attainment = 0.0;
 };
 
-/** One (scheduler, trace length): its trace, its first pass's
+/** One (scheduler, trace length): its trace, its first replay's
  * completions (the determinism reference) and its running result row. */
 struct Length {
   Policy policy = Policy::kTetri;
@@ -114,18 +122,11 @@ ScalingTrace(int num_requests)
   return workload::BuildTrace(spec);
 }
 
-/** Replay @p length once; keep the pass if it is the fastest so far. */
+/** Check one replay: conservation, and equality with the first. */
 void
-RunPass(serving::ServingSystem& system, Length* length, int rep)
+CheckReplay(const serving::ServingResult& result, Length* length)
 {
   const int n = length->row.num_requests;
-  const std::unique_ptr<serving::Scheduler> scheduler =
-      MakeScheduler(length->policy, &system.table());
-  const util::WallTimer wall;
-  const serving::ServingResult result =
-      system.Run(scheduler.get(), *length->trace);
-  const double wall_s = wall.ElapsedSec();
-
   int completed = 0;
   std::vector<TimeUs> completions;
   completions.reserve(result.records.size());
@@ -137,21 +138,45 @@ RunPass(serving::ServingSystem& system, Length* length, int rep)
                   "conservation: " << completed << " completed + "
                                    << result.num_dropped
                                    << " dropped != " << n);
-  ScalingRow& row = length->row;
-  if (rep == 0) {
+  if (length->first_completions.empty()) {
     length->first_completions = std::move(completions);
-    row.slo_attainment = result.Sar().overall;
+    length->row.slo_attainment = result.Sar().overall;
   } else {
     TETRI_CHECK_MSG(completions == length->first_completions,
-                    row.scheduler << " replay of N=" << n
-                                  << " is not deterministic");
+                    length->row.scheduler << " replay of N=" << n
+                                          << " is not deterministic");
   }
-  if (rep == 0 || wall_s < row.best_wall_s) {
+}
+
+/** Time one sample of @p length (replays_per_sample back-to-back
+ * replays); keep it if it is the fastest so far. */
+void
+RunSample(serving::ServingSystem& system, Length* length)
+{
+  ScalingRow& row = length->row;
+  const std::unique_ptr<serving::Scheduler> scheduler =
+      MakeScheduler(length->policy, &system.table());
+  std::vector<serving::ServingResult> results;
+  results.reserve(static_cast<std::size_t>(row.replays_per_sample));
+  const util::WallTimer wall;
+  for (int r = 0; r < row.replays_per_sample; ++r) {
+    results.push_back(system.Run(scheduler.get(), *length->trace));
+  }
+  const double wall_s = wall.ElapsedSec() / row.replays_per_sample;
+
+  double plan_us = 0.0;
+  for (const serving::ServingResult& result : results) {
+    CheckReplay(result, length);
+    plan_us += result.scheduler_wall_us_total;
+  }
+  plan_us /= row.replays_per_sample;
+  const int n = row.num_requests;
+  if (row.samples == 0 || wall_s < row.best_wall_s) {
     row.best_wall_s = wall_s;
-    row.plan_frac = result.scheduler_wall_us_total * 1e-6 / wall_s;
-    row.non_plan_us_per_request =
-        (wall_s * 1e6 - result.scheduler_wall_us_total) / n;
+    row.plan_frac = plan_us * 1e-6 / wall_s;
+    row.non_plan_us_per_request = (wall_s * 1e6 - plan_us) / n;
   }
+  ++row.samples;
   row.req_per_s = n / row.best_wall_s;
   row.us_per_request = row.best_wall_s * 1e6 / n;
 }
@@ -181,21 +206,20 @@ main(int argc, char** argv)
     lengths.push_back(256'000);
     lengths.push_back(1'000'000);
   }
-  const int min_simulated = smoke ? tetri::kMinSimulatedSmoke
-                                  : tetri::kMinSimulatedFull;
+  const int samples = smoke ? tetri::kSamplesSmoke : tetri::kSamplesFull;
+  const int largest = lengths.back();
 
   const auto model = tetri::costmodel::ModelConfig::FluxDev();
   const auto topology = tetri::cluster::Topology::H100Node(8);
   tetri::serving::ServingSystem system(&topology, &model);
 
-  // Passes interleave across schedulers and lengths (pass 0 of every
-  // (scheduler, N), then pass 1, ...), so a stretch of load on a
-  // shared machine slows every cell alike instead of one. The
+  // Samples interleave across schedulers and lengths (sample 0 of
+  // every (scheduler, N), then sample 1, ...), so a stretch of load on
+  // a shared machine slows every cell alike instead of one. The
   // schedulers replay the same traces.
   std::vector<tetri::workload::Trace> traces;
   for (int n : lengths) traces.push_back(tetri::ScalingTrace(n));
   std::vector<tetri::Length> lengths_state;
-  int max_reps = 0;
   for (tetri::Policy policy : tetri::kPolicies) {
     const std::string name =
         tetri::MakeScheduler(policy, &system.table())->Name();
@@ -205,27 +229,28 @@ main(int argc, char** argv)
       length.trace = &traces[i];
       length.row.scheduler = name;
       length.row.num_requests = lengths[i];
-      length.row.reps = std::max(2, min_simulated / lengths[i]);
-      max_reps = std::max(max_reps, length.row.reps);
+      length.row.replays_per_sample =
+          (largest + lengths[i] - 1) / lengths[i];
     }
   }
-  for (int rep = 0; rep < max_reps; ++rep) {
+  for (int sample = 0; sample < samples; ++sample) {
     for (tetri::Length& length : lengths_state) {
-      if (rep < length.row.reps) tetri::RunPass(system, &length, rep);
+      tetri::RunSample(system, &length);
     }
   }
 
   std::vector<tetri::ScalingRow> rows;
-  std::printf("%-12s %10s %6s %12s %12s %12s %14s %10s %8s\n",
-              "scheduler", "requests", "reps", "best_wall_s", "req/s",
-              "us/request", "non_plan_us/r", "plan_frac", "sar");
+  std::printf("%-12s %10s %7s %7s %12s %12s %12s %14s %10s %8s\n",
+              "scheduler", "requests", "samples", "replays", "best_wall_s",
+              "req/s", "us/request", "non_plan_us/r", "plan_frac", "sar");
   for (const tetri::Length& length : lengths_state) {
     const tetri::ScalingRow& row = length.row;
-    std::printf("%-12s %10d %6d %12.4f %12.0f %12.3f %14.3f %10.3f %8.3f\n",
-                row.scheduler.c_str(), row.num_requests, row.reps,
-                row.best_wall_s, row.req_per_s, row.us_per_request,
-                row.non_plan_us_per_request, row.plan_frac,
-                row.slo_attainment);
+    std::printf(
+        "%-12s %10d %7d %7d %12.4f %12.0f %12.3f %14.3f %10.3f %8.3f\n",
+        row.scheduler.c_str(), row.num_requests, row.samples,
+        row.replays_per_sample, row.best_wall_s, row.req_per_s,
+        row.us_per_request, row.non_plan_us_per_request, row.plan_frac,
+        row.slo_attainment);
     rows.push_back(row);
   }
   // Rows are grouped by scheduler in ascending N: the ratio for each
@@ -261,11 +286,13 @@ main(int argc, char** argv)
       const auto& r = rows[i];
       std::fprintf(out,
                    "    {\"scheduler\": \"%s\", \"num_requests\": %d, "
-                   "\"reps\": %d, \"best_wall_s\": %.6f, "
+                   "\"samples\": %d, \"replays_per_sample\": %d, "
+                   "\"best_wall_s\": %.6f, "
                    "\"req_per_s\": %.0f, \"us_per_request\": %.4f, "
                    "\"non_plan_us_per_request\": %.4f, "
                    "\"plan_frac\": %.4f, \"slo_attainment\": %.6f}%s\n",
-                   r.scheduler.c_str(), r.num_requests, r.reps,
+                   r.scheduler.c_str(), r.num_requests, r.samples,
+                   r.replays_per_sample,
                    r.best_wall_s, r.req_per_s, r.us_per_request,
                    r.non_plan_us_per_request, r.plan_frac,
                    r.slo_attainment, i + 1 < rows.size() ? "," : "");

@@ -269,7 +269,7 @@ ChaosController::OnAbort(const serving::AbortReport& report)
                  req.meta.deadline_us);
       ctx_.tracker->Transition(req, serving::RequestState::kDropped,
                                report.now);
-      ctx_.latents->Forget(id, report.now);
+      ctx_.latents->Forget(req, report.now);
       Record(report.now, RecoveryEventKind::kRetryDrop, id, 0);
       continue;
     }
@@ -292,7 +292,7 @@ ChaosController::OnAbort(const serving::AbortReport& report)
                    req.meta.deadline_us);
         ctx_.tracker->Transition(req, serving::RequestState::kDropped,
                                  report.now);
-        ctx_.latents->Forget(id, report.now);
+        ctx_.latents->Forget(req, report.now);
         Record(report.now, RecoveryEventKind::kRetryDrop, id, 0);
         continue;
       }

@@ -21,8 +21,21 @@
 
 namespace tetri::cluster {
 
-/** Number of GPUs in a mask. */
-inline int Popcount(GpuMask mask) { return std::popcount(mask); }
+/**
+ * Number of GPUs in a mask. Branch-free bit arithmetic (pairwise sums
+ * in ever wider fields, then one multiply to add the four bytes):
+ * under baseline x86-64 flags, without POPCNT, std::popcount compiles
+ * to a call into libgcc instead.
+ */
+constexpr int
+Popcount(GpuMask mask)
+{
+  static_assert(sizeof(GpuMask) == 4, "the constants assume 32-bit masks");
+  GpuMask x = mask - ((mask >> 1) & 0x55555555U);
+  x = (x & 0x33333333U) + ((x >> 2) & 0x33333333U);
+  x = (x + (x >> 4)) & 0x0F0F0F0FU;
+  return static_cast<int>((x * 0x01010101U) >> 24);
+}
 
 /** Mask with the @p n lowest GPUs set. */
 inline GpuMask FullMask(int n) {

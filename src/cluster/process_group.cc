@@ -1,5 +1,6 @@
 #include "cluster/process_group.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -34,9 +35,9 @@ ProcessGroupCache::EnsureWarmLocked(GpuMask mask)
 {
   TETRI_CHECK((mask & ~topology_->all_gpus()) == 0);
   if (Popcount(mask) <= 1) return 0;
-  auto it = warm_.find(mask);
-  if (it != warm_.end()) return 0;
-  warm_.emplace(mask, true);
+  const auto it = std::lower_bound(warm_.begin(), warm_.end(), mask);
+  if (it != warm_.end() && *it == mask) return 0;
+  warm_.insert(it, mask);
   for (GpuMask rest = mask; rest != 0; rest &= rest - 1) {
     buffer_mib_[std::countr_zero(rest)] += buffer_mib_per_gpu_;
   }
@@ -66,18 +67,19 @@ ProcessGroupCache::Invalidate(GpuMask mask)
 {
   TETRI_CHECK((mask & ~topology_->all_gpus()) == 0);
   const util::MutexLock lock(mu_);
-  int evicted = 0;
-  for (auto it = warm_.begin(); it != warm_.end();) {
-    if ((it->first & mask) == 0) {
-      ++it;
+  // Compact the survivors in place; they stay in ascending order.
+  std::size_t kept = 0;
+  for (const GpuMask group : warm_) {
+    if ((group & mask) == 0) {
+      warm_[kept++] = group;
       continue;
     }
-    for (GpuMask rest = it->first; rest != 0; rest &= rest - 1) {
+    for (GpuMask rest = group; rest != 0; rest &= rest - 1) {
       buffer_mib_[std::countr_zero(rest)] -= buffer_mib_per_gpu_;
     }
-    it = warm_.erase(it);
-    ++evicted;
   }
+  const int evicted = static_cast<int>(warm_.size() - kept);
+  warm_.resize(kept);
   return evicted;
 }
 
@@ -86,7 +88,7 @@ ProcessGroupCache::IsWarm(GpuMask mask) const
 {
   if (Popcount(mask) <= 1) return true;
   const util::MutexLock lock(mu_);
-  return warm_.contains(mask);
+  return std::binary_search(warm_.begin(), warm_.end(), mask);
 }
 
 double

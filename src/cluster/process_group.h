@@ -17,7 +17,6 @@
 #ifndef TETRI_CLUSTER_PROCESS_GROUP_H
 #define TETRI_CLUSTER_PROCESS_GROUP_H
 
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/topology.h"
@@ -86,7 +85,9 @@ class ProcessGroupCache {
   double warmup_latency_us_;
   double buffer_mib_per_gpu_;
   mutable util::Mutex mu_;
-  std::unordered_map<GpuMask, bool> warm_ TETRI_GUARDED_BY(mu_);
+  /** Warm groups, ascending: a node has few distinct groups, so a
+   * binary search is the whole warm check. */
+  std::vector<GpuMask> warm_ TETRI_GUARDED_BY(mu_);
   std::vector<double> buffer_mib_ TETRI_GUARDED_BY(mu_);
   TimeUs total_warmup_us_ TETRI_GUARDED_BY(mu_) = 0;
 };

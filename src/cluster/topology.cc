@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #include "util/check.h"
 
@@ -52,6 +51,26 @@ Topology::Topology(int num_gpus, GpuSpec gpu,
   link_classes_gbps_.erase(
       std::unique(link_classes_gbps_.begin(), link_classes_gbps_.end()),
       link_classes_gbps_.end());
+  // Peer masks per class below the fastest one (a pair whose link is
+  // in the fastest class only matters when no slower pair exists).
+  const int num_link_classes = static_cast<int>(link_classes_gbps_.size());
+  class_peers_.assign(
+      static_cast<std::size_t>(std::max(0, num_link_classes - 1)) *
+          num_gpus_,
+      0);
+  for (int a = 0; a < num_gpus_; ++a) {
+    for (int b = a + 1; b < num_gpus_; ++b) {
+      const int link_class = static_cast<int>(
+          std::lower_bound(link_classes_gbps_.begin(),
+                           link_classes_gbps_.end(),
+                           link_gbps_[a * num_gpus_ + b]) -
+          link_classes_gbps_.begin());
+      for (int c = link_class; c + 1 < num_link_classes; ++c) {
+        class_peers_[c * num_gpus_ + a] |= GpuMask{1} << b;
+        class_peers_[c * num_gpus_ + b] |= GpuMask{1} << a;
+      }
+    }
+  }
 }
 
 double
@@ -64,29 +83,30 @@ Topology::LinkBandwidth(int a, int b) const
 double
 Topology::CollectiveBandwidth(GpuMask mask) const
 {
-  TETRI_CHECK(mask != 0);
-  TETRI_CHECK((mask & ~all_gpus()) == 0);
-  if (std::has_single_bit(mask)) return kSingleGpuBandwidth;
-  double min_bw = std::numeric_limits<double>::max();
-  for (GpuMask rest = mask; rest != 0;) {
-    const int a = std::countr_zero(rest);
-    rest &= rest - 1;
-    const double* row = &link_gbps_[a * num_gpus_];
-    for (GpuMask others = rest; others != 0; others &= others - 1) {
-      min_bw = std::min(min_bw, row[std::countr_zero(others)]);
-    }
-  }
-  return min_bw;
+  // A single GPU's class is one past the link classes.
+  const auto cls = static_cast<std::size_t>(BottleneckClass(mask));
+  return cls < link_classes_gbps_.size() ? link_classes_gbps_[cls]
+                                         : kSingleGpuBandwidth;
 }
 
 int
 Topology::BottleneckClass(GpuMask mask) const
 {
-  const double bw = CollectiveBandwidth(mask);
-  if (std::has_single_bit(mask)) return NumBottleneckClasses() - 1;
-  const auto it = std::lower_bound(link_classes_gbps_.begin(),
-                                   link_classes_gbps_.end(), bw);
-  return static_cast<int>(it - link_classes_gbps_.begin());
+  TETRI_CHECK(mask != 0);
+  TETRI_CHECK((mask & ~all_gpus()) == 0);
+  const int num_link_classes = static_cast<int>(link_classes_gbps_.size());
+  if ((mask & (mask - 1)) == 0) return num_link_classes;  // one GPU
+  // The bottleneck is the slowest class holding a pair inside the
+  // mask: the first class at which some member has a peer in the mask
+  // at that class or slower. Every pair is in the fastest class or
+  // below, so a mask that passes every test ends there.
+  const GpuMask* peers = class_peers_.data();
+  for (int c = 0; c + 1 < num_link_classes; ++c, peers += num_gpus_) {
+    for (GpuMask rest = mask; rest != 0; rest &= rest - 1) {
+      if ((peers[std::countr_zero(rest)] & mask) != 0) return c;
+    }
+  }
+  return num_link_classes - 1;
 }
 
 double

@@ -69,7 +69,7 @@ class Topology {
    * the minimum pairwise bandwidth inside the set (bottleneck link).
    * A one-GPU mask returns kSingleGpuBandwidth; an empty mask, or one
    * naming GPUs outside the node, panics.
-   * O(k^2) in the mask's popcount k, walking set bits; no allocation.
+   * One BottleneckClass and an array read; no allocation.
    */
   double CollectiveBandwidth(GpuMask mask) const;
 
@@ -101,8 +101,14 @@ class Topology {
    * distinct link bandwidths sorted ascending (0 = slowest link), or
    * NumBottleneckClasses() - 1 for a single GPU. Two masks with the
    * same popcount and class have the same CollectiveBandwidth, hence
-   * the same collective latency and comm time. Same cost as
-   * CollectiveBandwidth plus a search over the few classes.
+   * the same collective latency and comm time.
+   *
+   * Reads per-class peer masks built once at construction: for each
+   * link class c below the fastest and each GPU a, the GPUs linked to
+   * a at class c or slower. The answer is the first class at which a
+   * member of the mask has a peer in it: at most k x (classes - 1)
+   * bit tests for a mask of k GPUs, none on a one-class fabric such
+   * as H100. No allocation; any node size up to 32 GPUs.
    */
   int BottleneckClass(GpuMask mask) const;
 
@@ -125,6 +131,9 @@ class Topology {
   std::vector<double> link_gbps_;
   /** Distinct link bandwidths above the diagonal, ascending. */
   std::vector<double> link_classes_gbps_;
+  /** [class][gpu], classes below the fastest: the GPUs whose link to
+   * gpu is in that class or a slower one. */
+  std::vector<GpuMask> class_peers_;
   double base_latency_us_;
   std::string name_;
   double nvlink_threshold_gbps_;

@@ -645,9 +645,9 @@ ServingRuntime::AdmitPending(std::vector<workload::TraceRequest>* pending)
   if (pending->empty()) return;
   const TimeUs now = NowUs();
   std::uint64_t infeasible = 0;
-  for (workload::TraceRequest& incoming : *pending) {
+  for (const workload::TraceRequest& incoming : *pending) {
     serving::Request request;
-    request.meta = std::move(incoming);
+    request.meta = incoming;
     const RequestId id = request.meta.id;
     if (options_.trace != nullptr) {
       trace::TraceEvent ev;

@@ -112,8 +112,7 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
   TimeUs transfer_us = 0;
   for (Request* req : members_) {
     transfer_us = std::max(
-        transfer_us, latents_->OnAssignment(req->meta.id, res,
-                                            assignment.mask, 1, now));
+        transfer_us, latents_->OnAssignment(*req, assignment.mask, 1, now));
     tracker_->Transition(*req, RequestState::kRunning, now);
     req->last_mask = assignment.mask;
     req->last_degree = degree;
@@ -445,7 +444,7 @@ ExecutionEngine::CancelNow(Request& request)
 {
   tracker_->Transition(request, RequestState::kCancelled,
                        simulator_->Now());
-  latents_->Forget(request.meta.id, simulator_->Now());
+  latents_->Forget(request, simulator_->Now());
   if (trace_ != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::TraceEventKind::kCancel;
@@ -493,7 +492,7 @@ ExecutionEngine::FinishRequest(Request& request)
   tracker_->Transition(request, RequestState::kFinished,
                        simulator_->Now());
   request.completion_us = simulator_->Now() + vae_us;
-  latents_->Forget(request.meta.id, simulator_->Now());
+  latents_->Forget(request, simulator_->Now());
   if (trace_ != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::TraceEventKind::kFinish;

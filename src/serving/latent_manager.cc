@@ -12,27 +12,25 @@ LatentManager::LatentManager(const costmodel::StepCostModel* cost)
 }
 
 TimeUs
-LatentManager::OnAssignment(RequestId request, costmodel::Resolution res,
-                            GpuMask mask, int batch, TimeUs now)
+LatentManager::OnAssignment(Request& request, GpuMask mask, int batch,
+                            TimeUs now)
 {
-  if (audit_ != nullptr) audit_->OnLatentAssign(request, mask, now);
+  if (audit_ != nullptr) audit_->OnLatentAssign(request.meta.id, mask, now);
   TETRI_CHECK(mask != 0);
-  auto it = location_.find(request);
-  if (it == location_.end()) {
+  const GpuMask prev = request.latent_mask;
+  request.latent_mask = mask;
+  if (prev == 0) {
     // First placement: latent is created in place from the text
     // encoding; nothing moves.
-    location_.emplace(request, mask);
     return 0;
   }
-  const GpuMask prev = it->second;
-  it->second = mask;
   if (cluster::OverlapCount(prev, mask) > 0) {
     // Sequence-parallel ranks re-shard locally; the latent is already
     // resident on at least one member GPU, so no cross-group copy.
     return 0;
   }
-  const TimeUs cost =
-      static_cast<TimeUs>(cost_->LatentTransferUs(res, batch));
+  const TimeUs cost = static_cast<TimeUs>(
+      cost_->LatentTransferUs(request.meta.resolution, batch));
   total_transfer_us_ += cost;
   ++num_transfers_;
   transfer_stats_.Add(static_cast<double>(cost));
@@ -40,10 +38,10 @@ LatentManager::OnAssignment(RequestId request, costmodel::Resolution res,
 }
 
 void
-LatentManager::Forget(RequestId request, TimeUs now)
+LatentManager::Forget(Request& request, TimeUs now)
 {
-  if (audit_ != nullptr) audit_->OnLatentRelease(request, now);
-  location_.erase(request);
+  if (audit_ != nullptr) audit_->OnLatentRelease(request.meta.id, now);
+  request.latent_mask = 0;
 }
 
 }  // namespace tetri::serving

@@ -6,14 +6,16 @@
  * future-like asynchronous latent handoff: the transfer is accounted
  * against execution time but excluded from the scheduler's deadline
  * math, and Table 4 verifies it stays below 0.05% of step latency.
+ *
+ * A request's latent location lives in its own record
+ * (Request::latent_mask), so tracking it costs no lookup.
  */
 #ifndef TETRI_SERVING_LATENT_MANAGER_H
 #define TETRI_SERVING_LATENT_MANAGER_H
 
-#include <unordered_map>
-
 #include "audit/sink.h"
 #include "costmodel/step_cost.h"
+#include "serving/request.h"
 #include "util/stats.h"
 #include "util/types.h"
 
@@ -29,16 +31,17 @@ class LatentManager {
 
   /**
    * Called when @p request is about to execute on @p mask at virtual
-   * time @p now.
+   * time @p now; moves its latent there.
    * @return the transfer latency charged now: zero for the first
    * assignment or when the group is unchanged/overlapping on the
-   * source GPU, else the modeled latent-copy time.
+   * source GPU, else the modeled latent-copy time at the request's
+   * resolution.
    */
-  TimeUs OnAssignment(RequestId request, costmodel::Resolution res,
-                      GpuMask mask, int batch = 1, TimeUs now = 0);
+  TimeUs OnAssignment(Request& request, GpuMask mask, int batch = 1,
+                      TimeUs now = 0);
 
-  /** Forget a finished or dropped request. */
-  void Forget(RequestId request, TimeUs now = 0);
+  /** Forget a finished or dropped request's latent. */
+  void Forget(Request& request, TimeUs now = 0);
 
   /** Total transfer time charged across all requests. */
   TimeUs total_transfer_us() const { return total_transfer_us_; }
@@ -52,7 +55,6 @@ class LatentManager {
  private:
   const costmodel::StepCostModel* cost_;
   audit::AuditSink* audit_ = nullptr;
-  std::unordered_map<RequestId, GpuMask> location_;
   TimeUs total_transfer_us_ = 0;
   int num_transfers_ = 0;
   RunningStat transfer_stats_;

@@ -9,6 +9,7 @@
 #define TETRI_SERVING_REQUEST_H
 
 #include <algorithm>
+#include <cstdint>
 
 #include "metrics/metrics.h"
 #include "util/rounding.h"
@@ -25,9 +26,40 @@ enum class RequestState {
   kCancelled,  ///< withdrawn by the client before finishing
 };
 
+/**
+ * The scheduling fields of a workload::TraceRequest: everything the
+ * serving layer and the runtime read. The prompt stays with the trace
+ * (the caching front end and trace I/O read it there), so admitting a
+ * request copies no string.
+ */
+struct RequestMeta {
+  RequestId id = kInvalidRequest;
+  TimeUs arrival_us = 0;
+  TimeUs deadline_us = 0;
+  costmodel::Resolution resolution = costmodel::Resolution::k256;
+  int num_steps = 0;
+  TenantId tenant = kDefaultTenant;
+
+  RequestMeta() = default;
+  /** The scheduling fields of @p trace. Implicit: a trace entry is how
+   * a request's metadata is normally given. */
+  RequestMeta(const workload::TraceRequest& trace)
+      : id(trace.id),
+        arrival_us(trace.arrival_us),
+        deadline_us(trace.deadline_us),
+        resolution(trace.resolution),
+        num_steps(trace.num_steps),
+        tenant(trace.tenant)
+  {
+  }
+};
+
 /** Mutable serving-side request record. */
 struct Request {
-  workload::TraceRequest meta;
+  /** Marks a request no RequestTracker has admitted. */
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  RequestMeta meta;
   RequestState state = RequestState::kQueued;
 
   int steps_done = 0;
@@ -36,6 +68,15 @@ struct Request {
   GpuMask last_mask = 0;
   /** Degree of the most recent assignment. */
   int last_degree = 0;
+  /**
+   * GPU set holding the request's latent (LatentManager); 0 before the
+   * first assignment and after Forget. Not last_mask: an abort clears
+   * last_mask but the latent keeps its last placement.
+   */
+  GpuMask latent_mask = 0;
+  /** Index of the RequestTracker entry that owns this record; set by
+   * RequestTracker::Admit and read only by the tracker. */
+  std::uint32_t tracker_slot = kNoSlot;
 
   /** Accounting for metrics. */
   double gpu_time_us = 0.0;

@@ -9,14 +9,20 @@ namespace tetri::serving {
 Request&
 RequestTracker::Admit(const workload::TraceRequest& meta)
 {
-  TETRI_CHECK_MSG(!Contains(meta.id), "duplicate request id " << meta.id);
+  if (2 * (entries_.size() + 1) > index_.size()) Rehash(entries_.size() + 1);
+  IndexCell& cell = index_[Probe(meta.id)];
+  TETRI_CHECK_MSG(cell.slot == Request::kNoSlot,
+                  "duplicate request id " << meta.id);
+  TETRI_CHECK(entries_.size() < Request::kNoSlot);
   if (audit_ != nullptr) {
     audit_->OnRequestAdmitted(meta.id, meta.arrival_us, meta.deadline_us,
                               meta.num_steps);
   }
+  const auto slot = static_cast<std::uint32_t>(entries_.size());
+  cell = IndexCell{meta.id, slot};
   Entry& entry = entries_.emplace_back();
   entry.request.meta = meta;
-  index_.emplace(meta.id, &entry);
+  entry.request.tracker_slot = slot;
   ++num_active_;
   EnqueueQueued(entry);
   return entry.request;
@@ -45,11 +51,46 @@ RequestTracker::Transition(Request& request, RequestState to, TimeUs now)
 RequestTracker::Entry&
 RequestTracker::EntryOf(const Request& request)
 {
-  auto it = index_.find(request.meta.id);
-  TETRI_CHECK_MSG(it != index_.end() && &it->second->request == &request,
+  const std::uint32_t slot = request.tracker_slot;
+  TETRI_CHECK_MSG(slot < entries_.size() &&
+                      &entries_[slot].request == &request,
                   "request " << request.meta.id
                              << " is not owned by this tracker");
-  return *it->second;
+  return entries_[slot];
+}
+
+std::size_t
+RequestTracker::Probe(RequestId id) const
+{
+  // Fibonacci hashing: the top bits of id x 2^64/phi spread runs and
+  // arithmetic progressions of ids evenly over the table.
+  const std::size_t mask = index_.size() - 1;
+  std::size_t cell = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(id) * 0x9E3779B97F4A7C15ULL) >>
+      (64 - index_bits_));
+  while (index_[cell].slot != Request::kNoSlot && index_[cell].id != id) {
+    cell = (cell + 1) & mask;
+  }
+  return cell;
+}
+
+void
+RequestTracker::Reserve(std::size_t n)
+{
+  if (2 * n > index_.size()) Rehash(n);
+}
+
+void
+RequestTracker::Rehash(std::size_t n)
+{
+  int bits = 4;
+  while ((std::size_t{1} << bits) < 2 * n) ++bits;
+  index_bits_ = bits;
+  index_.assign(std::size_t{1} << bits, IndexCell{});
+  for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) {
+    const RequestId id = entries_[slot].request.meta.id;
+    index_[Probe(id)] = IndexCell{id, slot};
+  }
 }
 
 void
@@ -70,26 +111,32 @@ RequestTracker::EraseQueued(Entry& entry)
   entry.queued = false;
 }
 
+std::uint32_t
+RequestTracker::FindSlot(RequestId id) const
+{
+  return index_.empty() ? Request::kNoSlot : index_[Probe(id)].slot;
+}
+
 Request&
 RequestTracker::Get(RequestId id)
 {
-  auto it = index_.find(id);
-  TETRI_CHECK_MSG(it != index_.end(), "unknown request " << id);
-  return it->second->request;
+  const std::uint32_t slot = FindSlot(id);
+  TETRI_CHECK_MSG(slot != Request::kNoSlot, "unknown request " << id);
+  return entries_[slot].request;
 }
 
 const Request&
 RequestTracker::Get(RequestId id) const
 {
-  auto it = index_.find(id);
-  TETRI_CHECK_MSG(it != index_.end(), "unknown request " << id);
-  return it->second->request;
+  const std::uint32_t slot = FindSlot(id);
+  TETRI_CHECK_MSG(slot != Request::kNoSlot, "unknown request " << id);
+  return entries_[slot].request;
 }
 
 bool
 RequestTracker::Contains(RequestId id) const
 {
-  return index_.contains(id);
+  return FindSlot(id) != Request::kNoSlot;
 }
 
 void
@@ -100,8 +147,8 @@ RequestTracker::Schedulable(TimeUs now, std::vector<Request*>* out)
   // and deadlines edited through held references land in their slots.
   // Ids are unique, so the order is total and equals a full sort.
   auto before = [](const Entry* a, const Entry* b) {
-    const workload::TraceRequest& x = a->request.meta;
-    const workload::TraceRequest& y = b->request.meta;
+    const RequestMeta& x = a->request.meta;
+    const RequestMeta& y = b->request.meta;
     if (x.deadline_us != y.deadline_us) return x.deadline_us < y.deadline_us;
     return x.id < y.id;
   };

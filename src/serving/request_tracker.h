@@ -9,12 +9,18 @@
  * requests in kQueued, both maintained by Admit and Transition. The
  * queued set is kept in (deadline, id) order across calls, so the
  * per-tick snapshot is one insertion pass instead of a sort.
+ *
+ * Lookups are flat: every request records the slot of its entry
+ * (Request::tracker_slot), so an owned reference finds its entry with
+ * one index, and ids resolve through an open-addressing table of
+ * (id, slot) cells that allocates no node per request. Any id works
+ * the same way, dense or sparse.
  */
 #ifndef TETRI_SERVING_REQUEST_TRACKER_H
 #define TETRI_SERVING_REQUEST_TRACKER_H
 
+#include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "audit/sink.h"
@@ -68,7 +74,7 @@ class RequestTracker {
 
   /** Size the id index for @p n admissions, so admitting them never
    * rehashes. */
-  void Reserve(std::size_t n) { index_.reserve(n); }
+  void Reserve(std::size_t n);
 
   /** All requests still kQueued or kRunning. O(1). */
   int NumActive() const { return num_active_; }
@@ -86,12 +92,32 @@ class RequestTracker {
     bool queued = false;
   };
 
-  /** The entry holding @p request, found by id. */
+  /** One id-index cell; slot == Request::kNoSlot marks it empty. */
+  struct IndexCell {
+    RequestId id = kInvalidRequest;
+    std::uint32_t slot = Request::kNoSlot;
+  };
+
+  /** The entry holding @p request, through its slot. O(1). */
   Entry& EntryOf(const Request& request);
   void EnqueueQueued(Entry& entry);
   void EraseQueued(Entry& entry);
 
-  std::unordered_map<RequestId, Entry*> index_;
+  /** The slot admitted under @p id, or Request::kNoSlot. */
+  std::uint32_t FindSlot(RequestId id) const;
+  /** The cell holding @p id, else the empty cell ending its probe
+   * sequence. The index must be non-empty. */
+  std::size_t Probe(RequestId id) const;
+  /** Rebuild the index with room for @p n ids at load <= 1/2. */
+  void Rehash(std::size_t n);
+
+  /**
+   * Id -> entry slot: linear probing over a power-of-two table kept at
+   * most half full, so a probe sequence stays short for any id set.
+   */
+  std::vector<IndexCell> index_;
+  /** log2(index_.size()); the hash keeps this many top bits. */
+  int index_bits_ = 0;
   /** Admission order; a deque so entries never move. */
   std::deque<Entry> entries_;
   /**

@@ -113,7 +113,7 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
           tracer->OnEvent(ev);
         }
         tracker.Transition(*req, RequestState::kDropped, now);
-        latents.Forget(req->meta.id, now);
+        latents.Forget(*req, now);
       } else {
         (*schedulable)[kept++] = req;
       }
@@ -191,9 +191,8 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
   // after every arrival at that instant is admitted and before any
   // other event at it. The last arrival at each instant makes those
   // calls itself, so no per-arrival planning event sits in the event
-  // heap. Each event captures only (&arrive, index), which fits in
-  // std::function's inline buffer, so scheduling the arrivals
-  // allocates nothing per request.
+  // heap. Each event captures only (&arrive, index), so an arrival is
+  // one plain sim::EventFn record.
   const std::vector<workload::TraceRequest>& arrivals = trace.requests;
   tracker.Reserve(arrivals.size());
   auto arrive = [&](std::size_t i) {
@@ -225,8 +224,8 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
   }
 
   // The tick re-arms through a closure holding only a reference to
-  // round_tick, which fits std::function's inline buffer: copying
-  // round_tick itself would heap-clone its captures on every tick.
+  // round_tick: a std::function owns its captures, so it cannot ride
+  // in a sim::EventFn by value.
   std::function<void()> round_tick;
   const auto rearm = [&round_tick]() { round_tick(); };
   std::size_t arrival_cursor = 0;
@@ -300,7 +299,7 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
       tracer->OnEvent(ev);
     }
     tracker.Transition(*req, RequestState::kDropped, simulator.Now());
-    latents.Forget(req->meta.id, simulator.Now());
+    latents.Forget(*req, simulator.Now());
   }
   if (auditor != nullptr) auditor->OnRunEnd(simulator.Now());
   if (tracer != nullptr) {

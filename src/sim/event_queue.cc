@@ -1,7 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <utility>
-
 #include "util/check.h"
 
 namespace tetri::sim {
@@ -12,9 +10,9 @@ EventQueue::Push(TimeUs at, EventFn fn)
   // seq only grows, so a time no earlier than the run's tail keeps the
   // run sorted by (time, seq).
   if (run_.empty() || at >= run_.back().time) {
-    run_.push_back(Entry{at, next_seq_++, std::move(fn)});
+    run_.push_back(Entry{at, next_seq_++, fn});
   } else {
-    heap_.push(Entry{at, next_seq_++, std::move(fn)});
+    heap_.push(Entry{at, next_seq_++, fn});
   }
 }
 
@@ -36,16 +34,16 @@ std::pair<TimeUs, EventFn>
 EventQueue::Pop()
 {
   TETRI_CHECK(!empty());
+  // Entries are plain bytes: copying the head out costs no more than
+  // moving it would.
   if (RunFirst()) {
-    Entry front = std::move(run_.front());
+    const Entry front = run_.front();
     run_.pop_front();
-    return {front.time, std::move(front.fn)};
+    return {front.time, front.fn};
   }
-  // priority_queue::top() returns const&; move is safe because we pop
-  // immediately afterwards.
-  Entry top = std::move(const_cast<Entry&>(heap_.top()));
+  const Entry top = heap_.top();
   heap_.pop();
-  return {top.time, std::move(top.fn)};
+  return {top.time, top.fn};
 }
 
 }  // namespace tetri::sim

@@ -1,7 +1,5 @@
 #include "sim/simulator.h"
 
-#include <utility>
-
 #include "util/check.h"
 
 namespace tetri::sim {
@@ -20,7 +18,7 @@ Simulator::ScheduleAt(TimeUs at, EventFn fn)
   }
   TETRI_CHECK_MSG(at >= now_, "event scheduled in the past: " << at
                               << " < " << now_);
-  queue_.Push(at, std::move(fn));
+  queue_.Push(at, fn);
 }
 
 void
@@ -29,14 +27,14 @@ Simulator::ScheduleAfter(TimeUs delay, EventFn fn)
   TETRI_CHECK(delay >= 0);
   // Route through ScheduleAt so the audit sink sees every scheduled
   // event, not just the absolute-time ones.
-  ScheduleAt(now_ + delay, std::move(fn));
+  ScheduleAt(now_ + delay, fn);
 }
 
 bool
 Simulator::Step()
 {
   if (queue_.empty()) return false;
-  auto [time, fn] = queue_.Pop();
+  const auto [time, fn] = queue_.Pop();
   if (audit_ != nullptr) audit_->OnEventFired(now_, time);
   if (trace_ != nullptr) {
     trace::TraceEvent ev;

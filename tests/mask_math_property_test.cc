@@ -2,22 +2,30 @@
  * @file
  * Allocation-free mask math, checked against brute force.
  *
- * Topology::CollectiveBandwidth, Topology::BottleneckClass and
- * ExecutionEngine::StragglerFactor walk a mask's set bits instead of
- * materializing GpuIndices. Each is compared here with a pairwise
+ * Topology::CollectiveBandwidth and Topology::BottleneckClass test
+ * per-class peer masks, and ExecutionEngine::StragglerFactor walks a
+ * mask's set bits, instead of materializing GpuIndices and walking
+ * every pair. Each is compared here with a pairwise
  * reference built on GpuIndices — the original algorithm, kept as the
  * oracle — over every non-empty mask of the H100 and A40 fabrics and
  * of 200 seeded random symmetric link matrices with random per-GPU
- * straggler factors. The one-GPU and empty-mask edges have their own
- * tests.
+ * straggler factors, and over random masks of 32-GPU fabrics (the
+ * topology's limit). The one-GPU and empty-mask edges have their own
+ * tests. ProcessGroupCache's warm set is checked against a std::set
+ * through seeded warm / invalidate sequences, and cluster::Popcount
+ * against std::popcount.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <set>
 #include <vector>
 
 #include "cluster/gpu_set.h"
+#include "cluster/process_group.h"
 #include "cluster/topology.h"
 #include "costmodel/model_config.h"
 #include "costmodel/step_cost.h"
@@ -71,14 +79,15 @@ RefStragglerFactor(const std::vector<double>& factors, GpuMask mask)
   return slow;
 }
 
-/** A random symmetric fabric; bandwidths come from a small palette so
- * distinct masks often share a bottleneck class. */
+/** A random symmetric fabric of @p n GPUs (2, 4 or 8 when 0);
+ * bandwidths come from a small palette so distinct masks often share
+ * a bottleneck class. */
 Topology
-RandomTopology(Rng& rng)
+RandomTopology(Rng& rng, int n = 0)
 {
   static constexpr double kPalette[] = {12.5, 25.0, 50.0,
                                         112.0, 300.0, 900.0};
-  const int n = 1 << (1 + static_cast<int>(rng.NextBelow(3)));  // 2,4,8
+  if (n == 0) n = 1 << (1 + static_cast<int>(rng.NextBelow(3)));
   const int palette = 1 + static_cast<int>(rng.NextBelow(6));
   std::vector<std::vector<double>> links(
       n, std::vector<double>(n, Topology::kSingleGpuBandwidth));
@@ -145,6 +154,121 @@ TEST(MaskMathPropertyTest, RandomSymmetricFabricsMatchPairwiseReference)
     const Topology topo = RandomTopology(rng);
     CheckTopology(topo, RandomFactors(rng, topo.num_gpus()));
   }
+}
+
+TEST(MaskMathPropertyTest, ThirtyTwoGpuFabricsMatchPairwiseReference)
+{
+  // The topology's limit: 2^32 masks cannot be enumerated, so random
+  // masks of every density, plus the full node and every pair.
+  Rng rng(32);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Topology topo = RandomTopology(rng, 32);
+    std::vector<GpuMask> masks = {topo.all_gpus()};
+    for (int a = 0; a < 32; ++a) {
+      for (int b = a + 1; b < 32; ++b) {
+        masks.push_back((GpuMask{1} << a) | (GpuMask{1} << b));
+      }
+    }
+    for (int i = 0; i < 2000; ++i) {
+      // AND-ing 0..3 extra random words thins the mask out.
+      GpuMask mask = static_cast<GpuMask>(rng.NextU64());
+      for (int k = static_cast<int>(rng.NextBelow(4)); k > 0; --k) {
+        mask &= static_cast<GpuMask>(rng.NextU64());
+      }
+      if (mask != 0) masks.push_back(mask);
+    }
+    for (GpuMask mask : masks) {
+      EXPECT_EQ(topo.CollectiveBandwidth(mask),
+                RefCollectiveBandwidth(topo, mask))
+          << "trial " << trial << " mask " << MaskToString(mask);
+      EXPECT_EQ(topo.BottleneckClass(mask), RefBottleneckClass(topo, mask))
+          << "trial " << trial << " mask " << MaskToString(mask);
+    }
+  }
+}
+
+/** Warm checks of @p topo's cache against a std::set reference over a
+ * seeded sequence of warms, probes and invalidations. */
+void
+CheckWarmSet(const Topology& topo, Rng& rng)
+{
+  constexpr double kBufferMib = 3.0;
+  ProcessGroupCache cache(&topo, /*warmup_latency_us=*/1000.0, kBufferMib);
+  std::set<GpuMask> ref;
+  auto random_mask = [&]() {
+    GpuMask mask = static_cast<GpuMask>(rng.NextU64()) & topo.all_gpus();
+    if (rng.NextBelow(2) == 0) mask &= static_cast<GpuMask>(rng.NextU64());
+    return mask;
+  };
+  for (int op = 0; op < 3000; ++op) {
+    const GpuMask mask = random_mask();
+    switch (rng.NextBelow(4)) {
+      case 0:
+      case 1: {
+        if (mask == 0) break;
+        const bool warm = Popcount(mask) <= 1 || ref.contains(mask);
+        EXPECT_EQ(cache.EnsureWarm(mask) == 0, warm)
+            << topo.name() << " op " << op << " " << MaskToString(mask);
+        if (Popcount(mask) > 1) ref.insert(mask);
+        break;
+      }
+      case 2: {
+        // Mostly single-GPU failures, as chaos injects them.
+        const GpuMask failed =
+            rng.NextBelow(3) == 0
+                ? mask
+                : GpuMask{1} << rng.NextBelow(topo.num_gpus());
+        int expected = 0;
+        for (auto it = ref.begin(); it != ref.end();) {
+          if ((*it & failed) != 0) {
+            it = ref.erase(it);
+            ++expected;
+          } else {
+            ++it;
+          }
+        }
+        EXPECT_EQ(cache.Invalidate(failed), expected)
+            << topo.name() << " op " << op;
+        break;
+      }
+      default:
+        EXPECT_EQ(cache.IsWarm(mask),
+                  Popcount(mask) <= 1 || ref.contains(mask))
+            << topo.name() << " op " << op << " " << MaskToString(mask);
+        break;
+    }
+    ASSERT_EQ(cache.NumWarmGroups(), ref.size()) << "op " << op;
+  }
+  for (int gpu = 0; gpu < topo.num_gpus(); ++gpu) {
+    int groups = 0;
+    for (GpuMask g : ref) groups += static_cast<int>((g >> gpu) & 1U);
+    EXPECT_NEAR(cache.BufferMibOnGpu(gpu), groups * kBufferMib, 1e-6)
+        << topo.name() << " gpu " << gpu;
+  }
+}
+
+TEST(MaskMathPropertyTest, WarmCheckMatchesReferenceSet)
+{
+  Rng rng(77);
+  for (const Topology& topo :
+       {Topology::H100Node(8), Topology::A40Node(4), Topology::A40Node(8),
+        RandomTopology(rng, 32)}) {
+    CheckWarmSet(topo, rng);
+  }
+}
+
+TEST(MaskMathPropertyTest, PopcountMatchesStd)
+{
+  for (std::uint32_t mask = 0; mask <= 0xFFFF; ++mask) {
+    ASSERT_EQ(Popcount(mask), std::popcount(mask)) << mask;
+  }
+  Rng rng(1);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const auto mask = static_cast<GpuMask>(rng.NextU64());
+    ASSERT_EQ(Popcount(mask), std::popcount(mask)) << mask;
+  }
+  EXPECT_EQ(Popcount(~GpuMask{0}), 32);
+  static_assert(Popcount(0x80000001U) == 2);
 }
 
 TEST(MaskMathPropertyTest, PaperFabricsHaveExpectedClasses)

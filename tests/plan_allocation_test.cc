@@ -296,9 +296,12 @@ TEST(RunAllocationTest, ReplayAllocatesFewBlocksPerRequest)
 {
   // A whole 2k-request FLUX replay on 8xH100: setup, arrivals, every
   // round, every dispatch and the records. What remains is per request
-  // (its tracker entry and prompt copy, its latent entry) or per
-  // planner memo key; no round allocates. A fresh plan per round
-  // costs ~14 more blocks per request.
+  // (the tracker's entry blocks, a few entries each, and the event
+  // queue's arrival run) or per planner memo key; no round allocates,
+  // and admitting a request copies no prompt and allocates no index or
+  // latent node. That measures ~1.75 blocks per request (4.8 with a
+  // prompt copy and hash-map nodes); a fresh plan per round costs ~14
+  // more.
   const ModelConfig model = ModelConfig::FluxDev();
   const Topology topo = Topology::H100Node(8);
   serving::ServingSystem system(&topo, &model);
@@ -317,7 +320,7 @@ TEST(RunAllocationTest, ReplayAllocatesFewBlocksPerRequest)
   EXPECT_GT(result.num_assignments, static_cast<int>(trace.requests.size()));
   const double per_request = static_cast<double>(g_allocations) /
                              static_cast<double>(trace.requests.size());
-  EXPECT_LE(per_request, 8.0) << g_allocations << " allocations";
+  EXPECT_LE(per_request, 3.0) << g_allocations << " allocations";
 }
 
 }  // namespace

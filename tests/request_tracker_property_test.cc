@@ -13,11 +13,13 @@
  * buffer form of Schedulable, whose queued set stays sorted across
  * calls, through the same oracle. A further test pins reference
  * stability: references from Admit and pointers from Schedulable must
- * survive any number of later admissions.
+ * survive any number of later admissions. The flat id index is checked
+ * against a std::map over dense, sparse, negative and random ids.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "serving/request_tracker.h"
@@ -273,6 +275,41 @@ TEST(RequestTrackerPropertyTest, TerminalTransitionsLeaveTheWorkingSet)
   EXPECT_EQ(list[1]->meta.id, 2);
 }
 
+TEST(RequestTrackerPropertyTest, IdIndexMatchesReferenceMap)
+{
+  // The id index against a std::map over dense, strided, negative and
+  // full-range random ids, with and without Reserve (growth rehashes
+  // mid-stream), plus ids that were never admitted.
+  Rng rng(5);
+  for (int trial = 0; trial < 8; ++trial) {
+    RequestTracker tracker;
+    const int n = 1 + static_cast<int>(rng.NextBelow(3000));
+    if (trial % 2 == 0) tracker.Reserve(static_cast<std::size_t>(n));
+    std::map<RequestId, Request*> ref;
+    while (static_cast<int>(ref.size()) < n) {
+      const int i = static_cast<int>(ref.size());
+      RequestId id = 0;
+      switch (trial / 2) {
+        case 0: id = i; break;
+        case 1: id = static_cast<RequestId>(i) * 1'000'000'000'000 + 7; break;
+        case 2: id = -1 - 3 * static_cast<RequestId>(i); break;
+        default: id = static_cast<RequestId>(rng.NextU64()); break;
+      }
+      if (ref.contains(id)) continue;
+      ref[id] = &tracker.Admit(MakeMeta(id, 0, 100));
+    }
+    for (const auto& [id, req] : ref) {
+      ASSERT_TRUE(tracker.Contains(id)) << "trial " << trial << " id " << id;
+      ASSERT_EQ(&tracker.Get(id), req) << "trial " << trial << " id " << id;
+      ASSERT_EQ(req->meta.id, id);
+    }
+    for (int probe = 0; probe < 2000; ++probe) {
+      const auto id = static_cast<RequestId>(rng.NextU64());
+      EXPECT_EQ(tracker.Contains(id), ref.contains(id)) << id;
+    }
+  }
+}
+
 TEST(RequestTrackerDeathTest, TransitionOfForeignRequestPanics)
 {
   RequestTracker tracker;
@@ -280,6 +317,17 @@ TEST(RequestTrackerDeathTest, TransitionOfForeignRequestPanics)
   Request stranger;
   stranger.meta = MakeMeta(0, 0, 100);
   EXPECT_DEATH(tracker.Transition(stranger, RequestState::kRunning, 0),
+               "not owned");
+}
+
+TEST(RequestTrackerDeathTest, TransitionOfCopiedRequestPanics)
+{
+  // A copy carries the original's tracker slot; the slot alone must
+  // not make it owned.
+  RequestTracker tracker;
+  tracker.Admit(MakeMeta(0, 0, 100));
+  Request copy = tracker.Get(0);
+  EXPECT_DEATH(tracker.Transition(copy, RequestState::kRunning, 0),
                "not owned");
 }
 

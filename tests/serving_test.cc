@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "baselines/edf.h"
 #include "baselines/fixed_sp.h"
 #include "serving/engine.h"
 #include "serving/latent_manager.h"
@@ -83,6 +84,15 @@ class LatentManagerTest : public ::testing::Test {
         latents_(&cost_)
   {
   }
+  /** A request record as the engine hands it to the manager. */
+  static Request Record(RequestId id, Resolution res)
+  {
+    Request request;
+    request.meta.id = id;
+    request.meta.resolution = res;
+    return request;
+  }
+
   ModelConfig model_;
   Topology topo_;
   costmodel::StepCostModel cost_;
@@ -91,20 +101,23 @@ class LatentManagerTest : public ::testing::Test {
 
 TEST_F(LatentManagerTest, FirstPlacementIsFree)
 {
-  EXPECT_EQ(latents_.OnAssignment(1, Resolution::k1024, 0b0011), 0);
+  Request req = Record(1, Resolution::k1024);
+  EXPECT_EQ(latents_.OnAssignment(req, 0b0011), 0);
   EXPECT_EQ(latents_.num_transfers(), 0);
 }
 
 TEST_F(LatentManagerTest, OverlappingMoveIsFree)
 {
-  latents_.OnAssignment(1, Resolution::k1024, 0b0011);
-  EXPECT_EQ(latents_.OnAssignment(1, Resolution::k1024, 0b0110), 0);
+  Request req = Record(1, Resolution::k1024);
+  latents_.OnAssignment(req, 0b0011);
+  EXPECT_EQ(latents_.OnAssignment(req, 0b0110), 0);
 }
 
 TEST_F(LatentManagerTest, DisjointMoveChargesTransfer)
 {
-  latents_.OnAssignment(1, Resolution::k1024, 0b0011);
-  const TimeUs cost = latents_.OnAssignment(1, Resolution::k1024, 0b1100);
+  Request req = Record(1, Resolution::k1024);
+  latents_.OnAssignment(req, 0b0011);
+  const TimeUs cost = latents_.OnAssignment(req, 0b1100);
   EXPECT_GT(cost, 0);
   EXPECT_EQ(latents_.num_transfers(), 1);
   EXPECT_EQ(latents_.total_transfer_us(), cost);
@@ -112,9 +125,20 @@ TEST_F(LatentManagerTest, DisjointMoveChargesTransfer)
 
 TEST_F(LatentManagerTest, ForgetResetsPlacement)
 {
-  latents_.OnAssignment(1, Resolution::k256, 0b0001);
-  latents_.Forget(1);
-  EXPECT_EQ(latents_.OnAssignment(1, Resolution::k256, 0b0010), 0);
+  Request req = Record(1, Resolution::k256);
+  latents_.OnAssignment(req, 0b0001);
+  latents_.Forget(req);
+  EXPECT_EQ(latents_.OnAssignment(req, 0b0010), 0);
+}
+
+TEST_F(LatentManagerTest, LatentOutlivesClearedPlacement)
+{
+  // An abort clears last_mask but not the latent: a move off the old
+  // GPUs still pays the copy.
+  Request req = Record(1, Resolution::k1024);
+  latents_.OnAssignment(req, 0b0011);
+  req.last_mask = 0;
+  EXPECT_GT(latents_.OnAssignment(req, 0b1100), 0);
 }
 
 class EngineTest : public ::testing::Test {
@@ -312,6 +336,54 @@ TEST(ServingSystemTest, DeterministicAcrossRuns)
   ASSERT_EQ(a.records.size(), b.records.size());
   for (std::size_t i = 0; i < a.records.size(); ++i) {
     EXPECT_EQ(a.records[i].completion_us, b.records[i].completion_us);
+  }
+}
+
+TEST(ServingSystemTest, SparseIdsReplayLikeTheirDenseTwin)
+{
+  // The tracker indexes any id set the same way: ids i * 10^12 + 7
+  // (order-preserving, so every (deadline, id) tie breaks alike)
+  // replay to the records of ids i, field for field.
+  auto model = ModelConfig::FluxDev();
+  auto topo = Topology::H100Node();
+  ServingSystem system(&topo, &model);
+  workload::TraceSpec spec;
+  spec.num_requests = 400;
+  spec.arrival_rate_per_min = 60.0;  // overloaded: drops happen too
+  spec.mix = workload::ResolutionMix::Skewed();
+  spec.seed = 9;
+  const workload::Trace dense = workload::BuildTrace(spec);
+  constexpr RequestId kStride = 1'000'000'000'000;
+  workload::Trace sparse = dense;
+  for (workload::TraceRequest& req : sparse.requests) {
+    req.id = req.id * kStride + 7;
+  }
+
+  baselines::FixedSpScheduler fixed(2);
+  baselines::EdfScheduler edf(&system.table());
+  for (Scheduler* sched : {static_cast<Scheduler*>(&fixed),
+                           static_cast<Scheduler*>(&edf)}) {
+    const ServingResult a = system.Run(sched, dense);
+    const ServingResult b = system.Run(sched, sparse);
+    ASSERT_EQ(a.records.size(), b.records.size());
+    EXPECT_GT(a.num_dropped, 0) << sched->Name();
+    for (std::size_t i = 0; i < a.records.size(); ++i) {
+      const metrics::RequestRecord& x = a.records[i];
+      const metrics::RequestRecord& y = b.records[i];
+      EXPECT_EQ(x.id, (y.id - 7) / kStride) << sched->Name() << " " << i;
+      EXPECT_EQ(x.resolution, y.resolution);
+      EXPECT_EQ(x.arrival_us, y.arrival_us);
+      EXPECT_EQ(x.deadline_us, y.deadline_us);
+      EXPECT_EQ(x.completion_us, y.completion_us)
+          << sched->Name() << " " << i;
+      EXPECT_EQ(x.gpu_time_us, y.gpu_time_us);
+      EXPECT_EQ(x.degree_step_sum, y.degree_step_sum);
+      EXPECT_EQ(x.steps_executed, y.steps_executed);
+      EXPECT_EQ(x.outcome, y.outcome);
+      EXPECT_EQ(x.drop_reason, y.drop_reason);
+    }
+    EXPECT_EQ(a.num_assignments, b.num_assignments);
+    EXPECT_EQ(a.busy_gpu_us, b.busy_gpu_us);
   }
 }
 

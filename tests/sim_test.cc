@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -106,6 +107,29 @@ TEST(EventQueueTest, InOrderRunAndHeapMergeByTimeThenSeq)
   EXPECT_EQ(fired, (std::vector<int>{0, 4, 1, 3, 2, 5}));
 }
 
+TEST(EventQueueTest, FullSizeClosureFiresWithCapturesIntact)
+{
+  // A closure of exactly EventFn::kInlineBytes: every captured byte
+  // must survive the push into the run, a trip through the heap, and
+  // the pop.
+  EventQueue q;
+  std::vector<std::int64_t> seen;
+  const std::int64_t a = 0x0123456789ABCDEF;
+  const std::int64_t b = -42;
+  auto full = [&seen, a, b]() {
+    seen.push_back(a);
+    seen.push_back(b);
+  };
+  static_assert(sizeof(full) == EventFn::kInlineBytes);
+  q.Push(20, full);
+  q.Push(10, [&seen, a, b]() {  // out of order: goes through the heap
+    seen.push_back(b);
+    seen.push_back(a);
+  });
+  while (!q.empty()) q.Pop().second();
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{b, a, a, b}));
+}
+
 TEST(EventQueueTest, NextTimeReportsEarliest)
 {
   EventQueue q;
@@ -199,9 +223,9 @@ TEST(SimulatorAuditTest, AuditedCascadeIsViolationFree)
 
   int fired = 0;
   std::function<void()> cascade = [&]() {
-    if (++fired < 50) sim.ScheduleAfter(7, cascade);
+    if (++fired < 50) sim.ScheduleAfter(7, [&cascade] { cascade(); });
   };
-  sim.ScheduleAt(5, cascade);
+  sim.ScheduleAt(5, [&cascade] { cascade(); });
   for (TimeUs t = 0; t < 200; t += 10) {
     sim.ScheduleAt(t, [&]() { ++fired; });
   }
