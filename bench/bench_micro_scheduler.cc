@@ -15,15 +15,6 @@
  *    (BENCH_scheduler.json). `--smoke` shrinks the sample counts for
  *    CI.
  *
- * `--packers` (with `--json=`) appends a packer-matrix block: for each
- * registered Stage-2 packer (dp, progressive) it measures
- * Plan() p50 latency at a fixed (depth 64, 8 GPU) cell and SLO
- * attainment on a fragmentation-heavy scenario (one GPU failed for
- * the whole run, 7 healthy; the progressive packer runs with an
- * extended-degree table and non-pow2 placement). bench_gate checks
- * the recorded invariant: progressive attainment >= dp attainment on
- * the fragmented node.
- *
  * Chaos knobs (compose with either mode): `--chaos-seed=N` runs one
  * deterministic failure/recovery serving cycle before the benchmark
  * proper, injecting `--fail-gpus=K` (default 1) seeded GPU failures
@@ -45,11 +36,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "chaos/chaos.h"
-#include "packers/packer.h"
 #include "serving/system.h"
 #include "trace/perfetto.h"
 #include "trace/summary.h"
@@ -470,99 +459,9 @@ RunCell(int depth, int gpus, int warmup, int iters)
   return cell;
 }
 
-// ---------------------------------------------------------------
-// Packer matrix (--packers, with --json=)
-// ---------------------------------------------------------------
-
-struct PackerCell {
-  std::string packer;
-  double plan_p50_us = 0.0;
-  int frag_met = 0;
-  int frag_total = 0;
-};
-
-/** SLO attainment of one packer on the fragmentation scenario: GPU 7
- * down for the whole run, so every round packs into 7 GPUs. The
- * progressive packer runs with non-pow2 degrees (its reason to
- * exist); the DP keeps the pow2 discipline. Power-of-two
- * latency cells are bit-identical across the two tables by the
- * extended-profile stream design, so the comparison is fair. */
-PackerCell
-RunPackerCell(const std::string& name, bool smoke)
-{
-  const packers::PackerKind kind =
-      *packers::PackerKindFromName(name);
-  const bool non_pow2 = kind == packers::PackerKind::kProgressive;
-
-  // Plan latency at the fixed (depth 64, 8 GPUs) cell, pow2 table —
-  // the packer swap is what is being timed, not the table shape.
-  core::TetriOptions opts;
-  opts.packer = kind;
-  core::TetriScheduler sched(&F().table, opts);
-  serving::RequestTracker tracker;
-  FillQueue(&tracker, 64);
-  auto schedulable = tracker.Schedulable(0);
-  serving::ScheduleContext ctx;
-  ctx.now = 0;
-  ctx.round_end = sched.RoundDurationUs();
-  ctx.free_gpus = cluster::FullMask(8);
-  ctx.schedulable = &schedulable;
-  ctx.topology = &F().topo;
-  ctx.table = &F().table;
-  auto samples =
-      TimePlans(&sched, &ctx, smoke ? 5 : 20, smoke ? 40 : 400);
-
-  // Fragmentation attainment: 60 tight-SLO requests on 7 healthy GPUs.
-  chaos::ChaosConfig chaos_config;
-  chaos::ScriptedFailure failure;
-  failure.at_us = 0;
-  failure.gpu = 7;
-  failure.recover_after_us = UsFromSec(10000.0);
-  chaos_config.scripted.push_back(failure);
-  chaos::ChaosController controller(chaos_config);
-
-  serving::ServingConfig sc;
-  sc.extended_degrees = non_pow2;
-  sc.on_run_setup = controller.Hook();
-  serving::ServingSystem system(&F().topo, &F().model, sc);
-  core::TetriOptions run_opts;
-  run_opts.packer = kind;
-  run_opts.allow_non_pow2 = non_pow2;
-  core::TetriScheduler scheduler(&system.table(), run_opts);
-
-  workload::TraceSpec spec;
-  spec.num_requests = 60;
-  spec.slo_scale = 1.1;
-  const auto sar =
-      system.Run(&scheduler, workload::BuildTrace(spec)).Sar();
-
-  PackerCell cell;
-  cell.packer = name;
-  cell.plan_p50_us = Percentile(&samples, 0.50);
-  cell.frag_met = sar.met;
-  cell.frag_total = sar.total;
-  return cell;
-}
-
-std::vector<PackerCell>
-RunPackerMatrix(bool smoke)
-{
-  std::vector<PackerCell> cells;
-  std::printf("%12s %12s %10s %12s\n", "packer", "plan_p50",
-              "frag_met", "frag_total");
-  for (std::string_view name : packers::RegisteredPackerNames()) {
-    auto cell = RunPackerCell(std::string(name), smoke);
-    std::printf("%12s %10.1fus %10d %12d\n", cell.packer.c_str(),
-                cell.plan_p50_us, cell.frag_met, cell.frag_total);
-    cells.push_back(std::move(cell));
-  }
-  return cells;
-}
-
 int
 RunRegression(const std::string& json_path, bool smoke,
-              const ChaosCycle* chaos,
-              const std::vector<PackerCell>* packers)
+              const ChaosCycle* chaos)
 {
   const int warmup = smoke ? 5 : 20;
   const int iters = smoke ? 40 : 400;
@@ -599,22 +498,8 @@ RunRegression(const std::string& json_path, bool smoke,
                  c.depth, c.gpus, c.samples, c.fast_p50_us,
                  c.fast_p99_us, i + 1 < cells.size() ? "," : "");
   }
-  const bool has_packers = packers != nullptr && !packers->empty();
   const bool has_chaos = chaos != nullptr;
-  std::fprintf(out, "  ]%s\n", has_packers || has_chaos ? "," : "");
-  if (has_packers) {
-    std::fprintf(out, "  \"packers\": [\n");
-    for (std::size_t i = 0; i < packers->size(); ++i) {
-      const PackerCell& c = (*packers)[i];
-      std::fprintf(out,
-                   "    {\"packer\": \"%s\", \"plan_p50_us\": %.3f, "
-                   "\"frag_met\": %d, \"frag_total\": %d}%s\n",
-                   c.packer.c_str(), c.plan_p50_us, c.frag_met,
-                   c.frag_total,
-                   i + 1 < packers->size() ? "," : "");
-    }
-    std::fprintf(out, "  ]%s\n", has_chaos ? "," : "");
-  }
+  std::fprintf(out, "  ]%s\n", has_chaos ? "," : "");
   if (has_chaos) {
     std::fprintf(out,
                  "  \"chaos\": {\"seed\": %llu, \"fail_gpus\": %d, "
@@ -663,7 +548,6 @@ main(int argc, char** argv)
   std::string trace_out;
   bool smoke = false;
   bool chaos = false;
-  bool packers = false;
   std::uint64_t chaos_seed = 1;
   int fail_gpus = 1;
   for (int i = 1; i < argc; ++i) {
@@ -671,8 +555,6 @@ main(int argc, char** argv)
       json_path = argv[i] + 7;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--packers") == 0) {
-      packers = true;
     } else if (std::strncmp(argv[i], "--chaos-seed=", 13) == 0) {
       chaos = true;
       chaos_seed = std::strtoull(argv[i] + 13, nullptr, 10);
@@ -687,14 +569,9 @@ main(int argc, char** argv)
   if (chaos) {
     cycle = tetri::RunChaosCycle(chaos_seed, fail_gpus, trace_out);
   }
-  std::vector<tetri::PackerCell> packer_cells;
-  if (packers) {
-    packer_cells = tetri::RunPackerMatrix(smoke);
-  }
   if (!json_path.empty()) {
     return tetri::RunRegression(json_path, smoke,
-                                chaos ? &cycle : nullptr,
-                                packers ? &packer_cells : nullptr);
+                                chaos ? &cycle : nullptr);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

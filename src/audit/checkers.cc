@@ -43,6 +43,18 @@ StateName(int state)
   return "Invalid";
 }
 
+/** Ids whose value in @p table equals @p value, ascending. */
+std::vector<RequestId>
+SortedIds(const IdTable<bool>& table, bool value)
+{
+  std::vector<RequestId> ids;
+  table.ForEach([&](RequestId id, bool v) {
+    if (v == value) ids.push_back(id);
+  });
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 }  // namespace
 
 // --- EventTimeMonotonicityChecker ---
@@ -92,8 +104,7 @@ GpuConservationChecker::OnRoundPlan(const RoundAudit& round)
                  cluster::MaskToString(a.mask & used)));
     }
     used |= a.mask;
-    if (!allow_non_pow2_ &&
-        !cluster::IsPow2(cluster::Popcount(a.mask))) {
+    if (!cluster::IsPow2(cluster::Popcount(a.mask))) {
       Report(round.now,
              Msg("SP degree ", cluster::Popcount(a.mask),
                  " is not a power of two for mask ",
@@ -118,8 +129,7 @@ GpuConservationChecker::OnDispatch(const DispatchAudit& dispatch)
            Msg("dispatch oversubscribes busy GPUs ",
                cluster::MaskToString(dispatch.mask & busy_)));
   }
-  if (!allow_non_pow2_ &&
-      !cluster::IsPow2(cluster::Popcount(dispatch.mask))) {
+  if (!cluster::IsPow2(cluster::Popcount(dispatch.mask))) {
     Report(dispatch.now,
            Msg("dispatched SP degree ",
                cluster::Popcount(dispatch.mask),
@@ -155,10 +165,8 @@ RequestLifecycleChecker::OnRequestAdmitted(RequestId id, TimeUs arrival_us,
                                            TimeUs /*deadline_us*/,
                                            int /*num_steps*/)
 {
-  auto [it, inserted] =
-      state_.emplace(id, StateInt(serving::RequestState::kQueued));
-  (void)it;
-  if (!inserted) {
+  const int queued = StateInt(serving::RequestState::kQueued);
+  if (!state_.Insert(id, queued).second) {
     Report(arrival_us, Msg("request ", id, " admitted twice"));
   }
 }
@@ -167,16 +175,16 @@ void
 RequestLifecycleChecker::OnRequestTransition(RequestId id, int from_state,
                                              int to_state, TimeUs now)
 {
-  auto it = state_.find(id);
-  if (it == state_.end()) {
+  int* state = state_.Find(id);
+  if (state == nullptr) {
     Report(now, Msg("transition of unknown request ", id));
-    state_.emplace(id, to_state);
+    state_.Insert(id, to_state);
     return;
   }
-  if (it->second != from_state) {
+  if (*state != from_state) {
     Report(now, Msg("request ", id, " transition claims from-state ",
                     StateName(from_state), " but tracked state is ",
-                    StateName(it->second)));
+                    StateName(*state)));
   }
   using serving::RequestState;
   const auto from = static_cast<RequestState>(from_state);
@@ -192,7 +200,7 @@ RequestLifecycleChecker::OnRequestTransition(RequestId id, int from_state,
     Report(now, Msg("illegal transition of request ", id, ": ",
                     StateName(from_state), " -> ", StateName(to_state)));
   }
-  it->second = to_state;
+  *state = to_state;
 }
 
 // --- GpuHealthChecker ---
@@ -257,7 +265,7 @@ RequestConservationChecker::OnRequestAdmitted(RequestId id,
                                               TimeUs /*deadline_us*/,
                                               int /*num_steps*/)
 {
-  open_.insert(id);
+  open_[id] = true;
 }
 
 void
@@ -270,15 +278,14 @@ RequestConservationChecker::OnRequestTransition(RequestId id,
   if (to == serving::RequestState::kFinished ||
       to == serving::RequestState::kDropped ||
       to == serving::RequestState::kCancelled) {
-    open_.erase(id);
+    if (bool* open = open_.Find(id)) *open = false;
   }
 }
 
 void
 RequestConservationChecker::OnRunEnd(TimeUs now)
 {
-  std::vector<RequestId> lost(open_.begin(), open_.end());
-  std::sort(lost.begin(), lost.end());
+  const std::vector<RequestId> lost = SortedIds(open_, true);
   for (RequestId id : lost) {
     Report(now, Msg("request ", id,
                     " silently lost: admitted but never reached a "
@@ -294,11 +301,10 @@ RuntimeConservationChecker::OnRequestAdmitted(RequestId id,
                                               TimeUs /*deadline_us*/,
                                               int /*num_steps*/)
 {
-  if (open_.count(id) > 0 || terminal_.count(id) > 0) {
+  if (!terminal_.Insert(id, false).second) {
     Report(arrival_us, Msg("request ", id, " admitted twice"));
     return;
   }
-  open_.insert(id);
   ++admitted_;
 }
 
@@ -312,16 +318,17 @@ RuntimeConservationChecker::OnRequestTransition(RequestId id,
                            to == serving::RequestState::kDropped ||
                            to == serving::RequestState::kCancelled;
   if (!is_terminal) return;
-  if (terminal_.count(id) > 0) {
-    Report(now, Msg("request ", id, " reached a terminal state twice"));
-    return;
-  }
-  if (open_.erase(id) == 0) {
+  bool* terminal = terminal_.Find(id);
+  if (terminal == nullptr) {
     Report(now, Msg("request ", id,
                     " reached a terminal state without being admitted"));
     return;
   }
-  terminal_.insert(id);
+  if (*terminal) {
+    Report(now, Msg("request ", id, " reached a terminal state twice"));
+    return;
+  }
+  *terminal = true;
   switch (to) {
     case serving::RequestState::kFinished: ++completed_; break;
     case serving::RequestState::kDropped: ++dropped_; break;
@@ -333,8 +340,7 @@ RuntimeConservationChecker::OnRequestTransition(RequestId id,
 void
 RuntimeConservationChecker::OnRunEnd(TimeUs now)
 {
-  std::vector<RequestId> lost(open_.begin(), open_.end());
-  std::sort(lost.begin(), lost.end());
+  const std::vector<RequestId> lost = SortedIds(terminal_, false);
   for (RequestId id : lost) {
     Report(now, Msg("request ", id,
                     " still open at drain: admitted but never "
@@ -363,10 +369,10 @@ DeadlineAccountingChecker::OnRequestAdmitted(RequestId id,
     Report(arrival_us,
            Msg("request ", id, " admitted with ", num_steps, " steps"));
   }
-  Account acct;
+  Account& acct = accounts_[id];
   acct.deadline_us = deadline_us;
   acct.num_steps = num_steps;
-  accounts_[id] = acct;
+  acct.steps_done = 0;
 }
 
 void
@@ -406,12 +412,12 @@ DeadlineAccountingChecker::OnDispatch(const DispatchAudit& dispatch)
                  " steps exceeds remaining ", m.remaining_steps,
                  " of request ", m.id));
     }
-    auto it = accounts_.find(m.id);
-    if (it == accounts_.end()) {
+    const Account* acct = accounts_.Find(m.id);
+    if (acct == nullptr) {
       Report(dispatch.now, Msg("dispatch of unknown request ", m.id));
       continue;
     }
-    const int expected = it->second.num_steps - it->second.steps_done;
+    const int expected = acct->num_steps - acct->steps_done;
     if (m.remaining_steps != expected) {
       Report(dispatch.now,
              Msg("remaining-step accounting drift for request ", m.id,
@@ -425,13 +431,12 @@ void
 DeadlineAccountingChecker::OnAssignmentComplete(const CompleteAudit& c)
 {
   for (RequestId id : c.requests) {
-    auto it = accounts_.find(id);
-    if (it == accounts_.end()) continue;  // already reported at dispatch
-    it->second.steps_done += c.steps;
-    if (it->second.steps_done > it->second.num_steps) {
-      Report(c.now, Msg("request ", id, " executed ",
-                        it->second.steps_done, " of ",
-                        it->second.num_steps, " steps"));
+    Account* acct = accounts_.Find(id);
+    if (acct == nullptr) continue;  // already reported at dispatch
+    acct->steps_done += c.steps;
+    if (acct->steps_done > acct->num_steps) {
+      Report(c.now, Msg("request ", id, " executed ", acct->steps_done,
+                        " of ", acct->num_steps, " steps"));
     }
   }
 }
@@ -442,11 +447,11 @@ DeadlineAccountingChecker::OnRequestTransition(RequestId id,
                                                int to_state, TimeUs now)
 {
   if (to_state != StateInt(serving::RequestState::kFinished)) return;
-  auto it = accounts_.find(id);
-  if (it == accounts_.end()) return;
-  if (it->second.steps_done != it->second.num_steps) {
+  const Account* acct = accounts_.Find(id);
+  if (acct == nullptr) return;
+  if (acct->steps_done != acct->num_steps) {
     Report(now, Msg("request ", id, " finished with ",
-                    it->second.num_steps - it->second.steps_done,
+                    acct->num_steps - acct->steps_done,
                     " steps outstanding"));
   }
 }
@@ -461,20 +466,17 @@ LatentLifetimeChecker::OnLatentAssign(RequestId id, GpuMask mask,
     Report(now, Msg("latent of request ", id,
                     " assigned to an empty GPU set"));
   }
-  if (released_.contains(id)) {
+  if (released_.Find(id) != nullptr) {
     Report(now, Msg("latent of request ", id, " used after release"));
   }
-  live_.insert(id);
 }
 
 void
 LatentLifetimeChecker::OnLatentRelease(RequestId id, TimeUs now)
 {
-  if (released_.contains(id)) {
+  if (!released_.Insert(id, true).second) {
     Report(now, Msg("latent of request ", id, " released twice"));
   }
-  live_.erase(id);
-  released_.insert(id);
 }
 
 // --- CostModelSanityChecker ---
@@ -567,11 +569,10 @@ CostModelSanityChecker::ValidateView(const TableView& view)
 // --- installation helpers ---
 
 void
-InstallStandardCheckers(Auditor& auditor, bool allow_non_pow2)
+InstallStandardCheckers(Auditor& auditor)
 {
   auditor.AddChecker(std::make_unique<EventTimeMonotonicityChecker>());
-  auditor.AddChecker(
-      std::make_unique<GpuConservationChecker>(allow_non_pow2));
+  auditor.AddChecker(std::make_unique<GpuConservationChecker>());
   auditor.AddChecker(std::make_unique<RequestLifecycleChecker>());
   auditor.AddChecker(std::make_unique<DeadlineAccountingChecker>());
   auditor.AddChecker(std::make_unique<LatentLifetimeChecker>());

@@ -26,18 +26,17 @@
  *  - CostModelSanityChecker: profiled latencies are finite, positive,
  *    and monotone in resolution; runs once over the table at install.
  *
- * Every hook is O(1) amortized per runtime event (hash-map lookups and
+ * Every hook is O(1) amortized per runtime event (IdTable lookups and
  * bit operations); the cost-model sweep is O(table) once.
  */
 #ifndef TETRI_AUDIT_CHECKERS_H
 #define TETRI_AUDIT_CHECKERS_H
 
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "audit/audit.h"
+#include "audit/id_table.h"
 #include "costmodel/resolution.h"
 
 namespace tetri::costmodel {
@@ -56,16 +55,9 @@ class EventTimeMonotonicityChecker final : public Checker {
   void OnEventFired(TimeUs prev, TimeUs now) override;
 };
 
-/**
- * Per-round GPU conservation and power-of-two SP degrees. With
- * @p allow_non_pow2 the degree checks are skipped (relaxed-placement
- * schedulers legally dispatch degree-3 groups); conservation checks
- * are unconditional.
- */
+/** Per-round GPU conservation and power-of-two SP degrees. */
 class GpuConservationChecker final : public Checker {
  public:
-  explicit GpuConservationChecker(bool allow_non_pow2 = false)
-      : allow_non_pow2_(allow_non_pow2) {}
   std::string_view name() const override { return "gpu-conservation"; }
   void OnRoundPlan(const RoundAudit& round) override;
   void OnDispatch(const DispatchAudit& dispatch) override;
@@ -75,7 +67,6 @@ class GpuConservationChecker final : public Checker {
  private:
   /** GPUs currently executing, mirrored from dispatch/complete. */
   GpuMask busy_ = 0;
-  const bool allow_non_pow2_;
 };
 
 /** Failed GPUs never receive work until they recover. */
@@ -106,8 +97,8 @@ class RequestConservationChecker final : public Checker {
   void OnRunEnd(TimeUs now) override;
 
  private:
-  /** Admitted requests not yet in a terminal state. */
-  std::unordered_set<RequestId> open_;
+  /** Admitted requests; true until they reach a terminal state. */
+  IdTable<bool> open_;
 };
 
 /**
@@ -138,11 +129,13 @@ class RuntimeConservationChecker final : public Checker {
   std::uint64_t completed() const { return completed_; }
   std::uint64_t dropped() const { return dropped_; }
   std::uint64_t cancelled() const { return cancelled_; }
-  std::size_t open_count() const { return open_.size(); }
+  std::size_t open_count() const {
+    return admitted_ - completed_ - dropped_ - cancelled_;
+  }
 
  private:
-  std::unordered_set<RequestId> open_;
-  std::unordered_set<RequestId> terminal_;
+  /** Admitted requests; true once they reached a terminal state. */
+  IdTable<bool> terminal_;
   std::uint64_t admitted_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t dropped_ = 0;
@@ -160,7 +153,7 @@ class RequestLifecycleChecker final : public Checker {
 
  private:
   /** Tracked state per request (serving::RequestState as int). */
-  std::unordered_map<RequestId, int> state_;
+  IdTable<int> state_;
 };
 
 /** Deadline and per-step accounting consistency. */
@@ -183,7 +176,7 @@ class DeadlineAccountingChecker final : public Checker {
     int num_steps = 0;
     int steps_done = 0;
   };
-  std::unordered_map<RequestId, Account> accounts_;
+  IdTable<Account> accounts_;
   TimeUs last_plan_now_ = 0;
 };
 
@@ -195,8 +188,8 @@ class LatentLifetimeChecker final : public Checker {
   void OnLatentRelease(RequestId id, TimeUs now) override;
 
  private:
-  std::unordered_set<RequestId> live_;
-  std::unordered_set<RequestId> released_;
+  /** Requests whose latent was released. */
+  IdTable<bool> released_;
 };
 
 /** Profiled latency-table sanity (finite, positive, monotone). */
@@ -231,11 +224,9 @@ class CostModelSanityChecker final : public Checker {
 
 /**
  * Install the seven runtime checkers (everything except the cost-model
- * sweep, which needs a latency table). @p allow_non_pow2 relaxes the
- * GpuConservationChecker's power-of-two degree checks.
+ * sweep, which needs a latency table).
  */
-void InstallStandardCheckers(Auditor& auditor,
-                             bool allow_non_pow2 = false);
+void InstallStandardCheckers(Auditor& auditor);
 
 /** Install the cost-model checker and validate @p table immediately. */
 CostModelSanityChecker& InstallCostModelChecker(

@@ -14,11 +14,15 @@
  * as tetri::sim can include it without depending on higher layers.
  * Enum-typed values (request states, resolutions) cross the boundary
  * as their integer representation.
+ *
+ * Payload lists are spans over buffers the emitter owns and reuses for
+ * the whole run; they are valid only for the duration of the hook, so
+ * a sink that needs them later must copy.
  */
 #ifndef TETRI_AUDIT_SINK_H
 #define TETRI_AUDIT_SINK_H
 
-#include <vector>
+#include <span>
 
 #include "util/types.h"
 
@@ -40,7 +44,7 @@ struct RoundAudit {
   GpuMask free_gpus = 0;
   /** Every GPU of the node; plans must stay inside this universe. */
   GpuMask all_gpus = 0;
-  std::vector<AssignmentAudit> assignments;
+  std::span<const AssignmentAudit> assignments;
 };
 
 /** One batch member of a dispatched assignment. */
@@ -56,7 +60,7 @@ struct DispatchAudit {
   TimeUs now = 0;
   GpuMask mask = 0;
   int steps = 0;
-  std::vector<MemberAudit> members;
+  std::span<const MemberAudit> members;
 };
 
 /** An assignment leaving execution (its GPUs are released). */
@@ -65,7 +69,7 @@ struct CompleteAudit {
   GpuMask mask = 0;
   /** Denoising steps actually executed for every member. */
   int steps = 0;
-  std::vector<RequestId> requests;
+  std::span<const RequestId> requests;
 };
 
 /** Receives runtime notifications; all hooks default to no-ops. */

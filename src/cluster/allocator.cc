@@ -13,7 +13,7 @@ GpuAllocator::GpuAllocator(const Topology* topology)
 std::optional<GpuMask>
 GpuAllocator::Allocate(int k, GpuMask prefer)
 {
-  TETRI_CHECK(allow_non_pow2_ ? k >= 1 : IsPow2(k));
+  TETRI_CHECK(IsPow2(k));
   TETRI_CHECK(k <= topology_->num_gpus());
   const GpuMask avail = free_mask();
   if (k > Popcount(avail)) return std::nullopt;
@@ -24,16 +24,14 @@ GpuAllocator::Allocate(int k, GpuMask prefer)
     return prefer;
   }
 
-  // 2. Fully free buddy-aligned block (any contiguous block when k is
-  //    not a power of two); among those, prefer the one with the most
-  //    overlap with the previous mask, then lowest index for
-  //    determinism. Blocks are walked in place, not materialized.
+  // 2. Fully free buddy-aligned block; among those, prefer the one
+  //    with the most overlap with the previous mask, then lowest index
+  //    for determinism. Blocks are walked in place, not materialized.
   const int n = topology_->num_gpus();
-  const int stride = IsPow2(k) ? k : 1;
   const GpuMask unit = FullMask(k);
   GpuMask best = 0;  // blocks are non-empty, so 0 means none found
   int best_overlap = -1;
-  for (int start = 0; start + k <= n; start += stride) {
+  for (int start = 0; start + k <= n; start += k) {
     const GpuMask block = unit << start;
     if ((block & avail) != block) continue;
     const int overlap = OverlapCount(block, prefer);

@@ -24,15 +24,6 @@ class GpuAllocator {
  public:
   explicit GpuAllocator(const Topology* topology);
 
-  /**
-   * Relaxed placement: accept any group size >= 1, not just powers of
-   * two. Aligned-block preference degrades to contiguous blocks for
-   * non-pow2 sizes; every other preference tier is unchanged. Off by
-   * default — the classic scheduler's pow2 discipline stays enforced.
-   */
-  void set_allow_non_pow2(bool allow) { allow_non_pow2_ = allow; }
-  bool allow_non_pow2() const { return allow_non_pow2_; }
-
   /** GPUs not currently allocated (failed GPUs are never free). */
   GpuMask free_mask() const { return free_ & ~failed_; }
   int NumFree() const { return Popcount(free_mask()); }
@@ -41,7 +32,7 @@ class GpuAllocator {
   GpuMask failed_mask() const { return failed_; }
 
   /**
-   * Allocate @p k GPUs (power of two unless allow_non_pow2 is set).
+   * Allocate @p k GPUs; @p k must be a power of two (panics otherwise).
    * @param prefer previous mask of the requester; 0 for no preference.
    * @return the allocated mask, or nullopt if fewer than k GPUs free.
    */
@@ -74,7 +65,6 @@ class GpuAllocator {
   const Topology* topology_;
   GpuMask free_;
   GpuMask failed_ = 0;
-  bool allow_non_pow2_ = false;
 };
 
 }  // namespace tetri::cluster

@@ -37,18 +37,7 @@ TetriScheduler::ApplyConfig()
   TETRI_CHECK(table_ != nullptr);
   TETRI_CHECK(options_.step_granularity >= 1);
   TETRI_CHECK(options_.max_batch >= 1);
-  // Non-pow2 planning needs non-pow2 latency cells; conversely an
-  // extended table would leak non-pow2 degrees into every planning
-  // loop (they iterate table->degrees()), so a pow2-disciplined
-  // scheduler must be given a pow2-only table.
-  TETRI_CHECK_MSG(options_.allow_non_pow2 == table_->extended_degrees(),
-                  "allow_non_pow2 requires (and is required by) a table "
-                  "profiled with extended_degrees");
   round_us_ = ComputeRoundDuration(*table_, options_.step_granularity);
-  packers::PackerOptions popts;
-  popts.min_utilization = options_.packer_min_utilization;
-  packer_ = packers::MakePacker(options_.packer, popts);
-  TETRI_CHECK(packer_ != nullptr);
   scratch_.step_cache.Bind(table_);
   // Staircases are keyed by (table, tau); poisoning the tau guard
   // forces a rebuild on the next round even if tau is unchanged, which
@@ -73,11 +62,6 @@ TetriScheduler::Name() const
   if (!options_.placement_preservation) name += "-NoPlace";
   if (!options_.elastic_scale_up) name += "-NoElastic";
   if (!options_.selective_batching) name += "-NoBatch";
-  if (options_.packer != packers::PackerKind::kDp) {
-    name += "-";
-    name += packer_->name();
-  }
-  if (options_.allow_non_pow2) name += "-NP2";
   return name;
 }
 
@@ -382,8 +366,8 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
     scratch_.group_entry.push_back(ei);
   }
 
-  packer_->Pack(scratch_.groups.data(), num_groups, capacity,
-                &scratch_.packed);
+  packers::PackRoundInto(scratch_.groups.data(), num_groups, capacity,
+                         &scratch_.pack, &scratch_.packed);
   const packers::PackResult& packed = scratch_.packed;
   for (int gi = 0; gi < num_groups; ++gi) {
     if (packed.choice[gi] < 0) continue;
@@ -626,7 +610,6 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
 
   // ---- Stage 6: placement with preservation (§4.2.3) ----
   cluster::GpuAllocator allocator(ctx.topology);
-  allocator.set_allow_non_pow2(options_.allow_non_pow2);
   allocator.SetFree(ctx.free_gpus);
   scratch_.masks.assign(num_pendings, 0);
   if (options_.placement_preservation) {

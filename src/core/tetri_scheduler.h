@@ -23,13 +23,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/allocation.h"
 #include "costmodel/step_time_cache.h"
-#include "packers/packer.h"
+#include "packers/dp_packer.h"
 #include "serving/scheduler.h"
 
 namespace tetri::core {
@@ -67,20 +66,6 @@ struct TetriOptions {
    * orphan segments; bench_ablation_alloc quantifies the damage.
    */
   bool use_continuous_planner = false;
-  /** Stage-2 packer (packers/packer.h); the DP reproduces the paper. */
-  packers::PackerKind packer = packers::PackerKind::kDp;
-  /**
-   * Minimum pack utilization enforced by the progressive packer
-   * (SET-style admission bound); ignored by the DP.
-   */
-  double packer_min_utilization = 0.5;
-  /**
-   * Plan with every degree the table profiles, including non-powers
-   * of two, and place them through the relaxed allocator. Requires a
-   * table profiled with extended_degrees; illegal otherwise (the
-   * table only has pow2 cells to plan with).
-   */
-  bool allow_non_pow2 = false;
 };
 
 /** The TetriServe policy. */
@@ -127,9 +112,8 @@ class TetriScheduler : public serving::Scheduler {
 
   /**
    * Swap the latency table and/or planning options mid-run. Re-derives
-   * the round duration, rebuilds the packer, and rebinds every
-   * table-keyed cache. The same consistency rules as construction
-   * apply (allow_non_pow2 must match the table's extended_degrees).
+   * the round duration and rebinds every table-keyed cache. The same
+   * validation as construction applies.
    */
   void Reconfigure(const costmodel::LatencyTable* table,
                    const TetriOptions& options);
@@ -187,8 +171,8 @@ class TetriScheduler : public serving::Scheduler {
   /**
    * Reusable planning arena (§4.2.2 "cheap enough to rerun every
    * round" made literal): entry/group/pending buffers,
-   * per-resolution round degree info, and the memoized step-time
-   * cache (the DP's own arena lives in the packer). Buffers only grow;
+   * per-resolution round degree info, the memoized step-time cache
+   * and the Stage-2 DP arena. Buffers only grow;
    * once the queue-depth high-water mark is reached, a Plan() call
    * performs no heap allocation beyond the emitted RoundPlan itself,
    * and a PlanInto() call into the previous round's plan none at all.
@@ -229,6 +213,7 @@ class TetriScheduler : public serving::Scheduler {
     // per-resolution cache or the staircase; rebuilt on demand for the
     // rare capped request.
     std::vector<RoundDegreeInfo> capped_info;
+    packers::PackScratch pack;
     packers::PackResult packed;
     costmodel::StepTimeCache step_cache;
     // Request-id buffers recycled from the plan PlanInto refills; each
@@ -244,8 +229,6 @@ class TetriScheduler : public serving::Scheduler {
   const costmodel::LatencyTable* table_;
   TetriOptions options_;
   TimeUs round_us_;
-  /** The Stage-2 packer selected by options_.packer. */
-  std::unique_ptr<packers::RoundPacker> packer_;
   PlanScratch scratch_;
   trace::TraceSink* trace_ = nullptr;
   /** Ordinal of the round being planned; -1 before the first. */

@@ -11,14 +11,13 @@ namespace tetri::costmodel {
 
 LatencyTable
 LatencyTable::Profile(const StepCostModel& cost, int max_batch,
-                      int samples, std::uint64_t seed,
-                      bool extended_degrees)
+                      int samples, std::uint64_t seed)
 {
   TETRI_CHECK(max_batch >= 1 && samples >= 2);
   LatencyTable table;
   table.max_batch_ = max_batch;
   table.degrees_ = cost.topology().FeasibleDegrees();
-  const int num_pow2 = static_cast<int>(table.degrees_.size());
+  const int num_degrees = static_cast<int>(table.degrees_.size());
 
   Rng rng(seed);
   table.cells_.resize(kNumResolutions);
@@ -27,8 +26,8 @@ LatencyTable::Profile(const StepCostModel& cost, int max_batch,
   }
   for (Resolution res : kAllResolutions) {
     auto& by_degree = table.cells_[ResolutionIndex(res)];
-    by_degree.resize(num_pow2);
-    for (int di = 0; di < num_pow2; ++di) {
+    by_degree.resize(num_degrees);
+    for (int di = 0; di < num_degrees; ++di) {
       const int degree = table.degrees_[di];
       auto& by_batch = by_degree[di];
       by_batch.resize(max_batch);
@@ -41,36 +40,6 @@ LatencyTable::Profile(const StepCostModel& cost, int max_batch,
       }
     }
   }
-
-  if (extended_degrees) {
-    // Non-pow2 cells draw from an independent derived stream so the
-    // pow2 cells above stay bit-identical to a non-extended profile
-    // (plan goldens and equivalence suites depend on that).
-    const int num_gpus = cost.topology().num_gpus();
-    Rng ext_rng(seed ^ 0x7e7269334e505332ULL);
-    table.extended_ = true;
-    table.ext_cells_.resize(kNumResolutions);
-    for (Resolution res : kAllResolutions) {
-      auto& by_degree = table.ext_cells_[ResolutionIndex(res)];
-      by_degree.resize(num_gpus + 1);
-      for (int degree = 1; degree <= num_gpus; ++degree) {
-        if (cluster::IsPow2(degree)) continue;
-        auto& by_batch = by_degree[degree];
-        by_batch.resize(max_batch);
-        for (int bs = 1; bs <= max_batch; ++bs) {
-          RunningStat stat;
-          for (int s = 0; s < samples; ++s) {
-            stat.Add(cost.SampleStepTimeUs(res, degree, bs, ext_rng));
-          }
-          by_batch[bs - 1] = LatencyCell{stat.mean(), stat.Cv()};
-        }
-      }
-    }
-    table.degrees_.clear();
-    for (int degree = 1; degree <= num_gpus; ++degree) {
-      table.degrees_.push_back(degree);
-    }
-  }
   return table;
 }
 
@@ -78,13 +47,10 @@ const LatencyCell&
 LatencyTable::Cell(Resolution res, int degree, int batch) const
 {
   TETRI_CHECK_MSG(batch >= 1 && batch <= max_batch_, "batch " << batch);
-  if (cluster::IsPow2(degree) && degree <= max_degree()) {
-    const int di = std::countr_zero(static_cast<unsigned>(degree));
-    return cells_[ResolutionIndex(res)][di][batch - 1];
-  }
-  TETRI_CHECK_MSG(extended_ && degree >= 1 && degree <= max_degree(),
-                  "degree " << degree);
-  return ext_cells_[ResolutionIndex(res)][degree][batch - 1];
+  TETRI_CHECK_MSG(cluster::IsPow2(degree) && degree <= max_degree(),
+                  "degree " << degree << " is not a profiled power of two");
+  const int di = std::countr_zero(static_cast<unsigned>(degree));
+  return cells_[ResolutionIndex(res)][di][batch - 1];
 }
 
 double

@@ -35,31 +35,20 @@ class LatencyTable {
    * @param max_batch largest batch profiled (>= 1).
    * @param samples measurement repetitions per cell.
    * @param seed RNG seed for the jitter stream.
-   * @param extended_degrees also profile every non-power-of-two degree
-   *        up to the node size (the non-pow2 SP feature flag). The
-   *        power-of-two cells are profiled first on the original RNG
-   *        stream, so their values are bit-identical to a
-   *        non-extended profile of the same seed; the extra degrees
-   *        draw from an independent derived stream.
    */
   static LatencyTable Profile(const StepCostModel& cost, int max_batch = 8,
-                              int samples = 20, std::uint64_t seed = 42,
-                              bool extended_degrees = false);
+                              int samples = 20, std::uint64_t seed = 42);
 
   int num_degrees() const { return static_cast<int>(degrees_.size()); }
   int max_batch() const { return max_batch_; }
   int max_degree() const { return degrees_.back(); }
 
-  /** True when non-power-of-two degrees are profiled and feasible. */
-  bool extended_degrees() const { return extended_; }
-
-  /** Feasible degrees: {1, 2, 4, ...}, or {1, 2, 3, ...} when
-   * extended_degrees() — the planning layers iterate this list, so
-   * the flag's reach is exactly "which table was profiled". */
+  /** Feasible degrees: the powers of two {1, 2, 4, ...} up to the
+   * node size. */
   const std::vector<int>& degrees() const { return degrees_; }
 
-  /** Mean step time, microseconds. @p degree must be a power of two
-   * unless extended_degrees(). */
+  /** Mean step time, microseconds. @p degree must be a profiled power
+   * of two; any other degree panics. */
   double StepTimeUs(Resolution res, int degree, int batch = 1) const;
 
   /** Profiled coefficient of variation for a cell. */
@@ -89,15 +78,10 @@ class LatencyTable {
   const LatencyCell& Cell(Resolution res, int degree, int batch) const;
 
   int max_batch_ = 0;
-  bool extended_ = false;
   std::vector<int> degrees_;
   std::array<double, kNumResolutions> vae_us_{};
-  // cells_[res][log2(degree)][batch-1] — power-of-two degrees.
+  // cells_[res][log2(degree)][batch-1].
   std::vector<std::vector<std::vector<LatencyCell>>> cells_;
-  // ext_cells_[res][degree][batch-1] — non-power-of-two degrees only,
-  // populated when extended_; pow2 rows stay empty (cells_ serves
-  // them so the pow2 values are stream-identical either way).
-  std::vector<std::vector<std::vector<LatencyCell>>> ext_cells_;
 };
 
 }  // namespace tetri::costmodel

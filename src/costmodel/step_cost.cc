@@ -29,8 +29,8 @@ StepCostModel::ComputeTimeUs(Resolution res, int degree, int batch) const
 {
   // Any degree in [1, node size] is modellable: the compute split,
   // the collective formulas, and the occupancy curve are all defined
-  // for arbitrary k. The scheduler's pow2 discipline (when on) lives
-  // in the planning layers, not here.
+  // for arbitrary k. The power-of-two discipline lives in the
+  // profiled LatencyTable and the allocator, not here.
   TETRI_CHECK(degree >= 1 && degree <= topology_->num_gpus());
   TETRI_CHECK(batch >= 1);
   const double step_tflops =

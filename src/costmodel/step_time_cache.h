@@ -50,10 +50,9 @@ class StepTimeCache {
   const LatencyTable* table_ = nullptr;
   int max_degree_ = 0;
   int max_batch_ = 0;
-  // [res][degree-1][batch-1] flattened. Dense in the degree so
-  // non-power-of-two degrees (extended tables) index without
-  // collision; pow2-only tables waste the in-between slots, a few
-  // hundred bytes.
+  // [res][degree-1][batch-1] flattened. Dense in the degree, so the
+  // slots between powers of two stay unused (a few hundred bytes) in
+  // exchange for an index that needs no log2.
   std::vector<double> slots_;
 };
 

@@ -148,27 +148,13 @@ SolveExhaustive(const costmodel::LatencyTable& table, int num_gpus,
                 const std::vector<ExactRequest>& requests,
                 double timeout_seconds)
 {
-  ExactOptions options;
-  options.timeout_seconds = timeout_seconds;
-  return SolveExhaustive(table, num_gpus, requests, options);
-}
-
-ExactResult
-SolveExhaustive(const costmodel::LatencyTable& table, int num_gpus,
-                const std::vector<ExactRequest>& requests,
-                const ExactOptions& options)
-{
   TETRI_CHECK(num_gpus >= 1 && num_gpus <= 16);
   SearchState st;
   st.table = &table;
   st.num_gpus = num_gpus;
   st.requests = &requests;
-  st.timeout_seconds = options.timeout_seconds;
-  for (int k : table.degrees()) {
-    if (options.allow_non_pow2 || cluster::IsPow2(k)) {
-      st.degrees.push_back(k);
-    }
-  }
+  st.timeout_seconds = timeout_seconds;
+  st.degrees = table.degrees();
   std::sort(st.degrees.rbegin(), st.degrees.rend());
   TETRI_CHECK(!st.degrees.empty());
   st.timer.Restart();
@@ -179,10 +165,8 @@ SolveExhaustive(const costmodel::LatencyTable& table, int num_gpus,
   st.min_step_us.clear();
   for (const ExactRequest& req : requests) {
     st.ready.push_back(static_cast<double>(req.arrival_us));
-    // Optimistic per-step bounds, restricted to the searchable degree
-    // set so the pruning comparisons stay tight when the search space
-    // is filtered. Still admissible: every reachable schedule pays at
-    // least these.
+    // Optimistic per-step bounds over every searchable degree.
+    // Admissible: every reachable schedule pays at least these.
     double min_step = std::numeric_limits<double>::infinity();
     double min_gpu = std::numeric_limits<double>::infinity();
     for (int k : st.degrees) {

@@ -29,20 +29,6 @@ struct ExactRequest {
   int steps = 1;
 };
 
-/** Search-space switches for the exact solver. */
-struct ExactOptions {
-  /** Wall-clock budget, seconds. */
-  double timeout_seconds = 60.0;
-  /**
-   * Branch over non-power-of-two degrees too. Only meaningful with a
-   * table profiled with extended_degrees — the search can only use
-   * degrees the table has cells for. When false, non-pow2 cells of an
-   * extended table are ignored, making the oracle comparable to the
-   * pow2-disciplined schedulers on the same profile.
-   */
-  bool allow_non_pow2 = false;
-};
-
 /** Outcome of one exact solve. */
 struct ExactResult {
   /** Requests meeting their deadline in the best schedule found. */
@@ -69,16 +55,6 @@ ExactResult SolveExhaustive(const costmodel::LatencyTable& table,
                             int num_gpus,
                             const std::vector<ExactRequest>& requests,
                             double timeout_seconds);
-
-/**
- * As above with explicit search-space options. The four-argument form
- * is SolveExhaustive(table, n, reqs, {.timeout_seconds = t}) — it
- * searches pow2 degrees only, regardless of the table's degree set.
- */
-ExactResult SolveExhaustive(const costmodel::LatencyTable& table,
-                            int num_gpus,
-                            const std::vector<ExactRequest>& requests,
-                            const ExactOptions& options);
 
 }  // namespace tetri::exact
 

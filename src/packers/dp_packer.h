@@ -10,6 +10,8 @@
  * under the conservative lower bound LB = remaining_steps * T_min.
  * The DP maximizes survivors under the GPU capacity; ties prefer
  * running more requests, then consuming fewer GPUs (GPU-hour economy).
+ * This is TetriServe's only Stage-2 packer: TetriScheduler calls
+ * PackRoundInto directly with an arena it owns.
  */
 #ifndef TETRI_PACKERS_DP_PACKER_H
 #define TETRI_PACKERS_DP_PACKER_H
@@ -64,10 +66,10 @@ struct PackResult {
 bool WorkNearlyEqual(double a, double b);
 
 /**
- * The single packing comparator shared by the DP and every packer
- * that scores packings: survivors descending, then work descending
- * (epsilon ties via WorkNearlyEqual), then width ascending. Returns
- * true when (survivors_a, work_a, width_a) is strictly better.
+ * The packing comparator shared by the DP and its test oracles:
+ * survivors descending, then work descending (epsilon ties via
+ * WorkNearlyEqual), then width ascending. Returns true when
+ * (survivors_a, work_a, width_a) is strictly better.
  */
 bool PackValueBetter(int survivors_a, double work_a, int width_a,
                      int survivors_b, double work_b, int width_b);

@@ -76,14 +76,12 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
     da.now = now;
     da.mask = assignment.mask;
     da.steps = steps;
-    da.members.reserve(members_.size());
+    audit_members_.clear();
     for (const Request* req : members_) {
-      audit::MemberAudit member;
-      member.id = req->meta.id;
-      member.remaining_steps = req->RemainingSteps();
-      member.resolution = static_cast<int>(req->meta.resolution);
-      da.members.push_back(member);
+      audit_members_.push_back({req->meta.id, req->RemainingSteps(),
+                                static_cast<int>(req->meta.resolution)});
     }
+    da.members = audit_members_;
     audit_->OnDispatch(da);
   }
 

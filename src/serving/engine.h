@@ -219,10 +219,11 @@ class ExecutionEngine {
   /** Per-GPU slowdown factors (straggler injection), >= 1.0 nominal. */
   std::vector<double> straggler_;
   /** Dispatch scratch, reused so steady-state dispatch does not
-   * allocate: the members' tracker entries, and (when tracing) the
-   * per-step end offsets. */
+   * allocate: the members' tracker entries, (when tracing) the
+   * per-step end offsets, and (when audited) the members' payload. */
   std::vector<Request*> members_;
   std::vector<TimeUs> step_ends_;
+  std::vector<audit::MemberAudit> audit_members_;
   /** In-flight assignment slots. A freed slot keeps its request
    * buffer for the next dispatch, so steady-state dispatch does not
    * allocate. FailGpus aborts in id order, which keeps it

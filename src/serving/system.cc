@@ -30,8 +30,7 @@ ServingSystem::ServingSystem(const cluster::Topology* topology,
       cost_(model, topology),
       table_(costmodel::LatencyTable::Profile(cost_, config.max_batch,
                                               config.profile_samples,
-                                              config.seed,
-                                              config.extended_degrees))
+                                              config.seed))
 {
   TETRI_CHECK(topology_ && model_);
 }
@@ -62,8 +61,7 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
 #ifdef TETRI_AUDIT
   if (auditor == nullptr) {
     owned_auditor = std::make_unique<audit::Auditor>();
-    audit::InstallStandardCheckers(*owned_auditor,
-                                   config_.extended_degrees);
+    audit::InstallStandardCheckers(*owned_auditor);
     audit::InstallCostModelChecker(*owned_auditor, &table_);
     auditor = owned_auditor.get();
   }
@@ -129,6 +127,8 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
   // today; the flag makes any future path that does fail loudly.
   std::vector<Request*> schedulable;
   RoundPlan plan;
+  // The round's audit payload, refilled in place like the plan.
+  std::vector<audit::AssignmentAudit> round_audit;
   bool dispatching = false;
   auto invoke_scheduler = [&]() {
     TETRI_CHECK_MSG(!dispatching,
@@ -162,14 +162,12 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
       ra.round_end = ctx.round_end;
       ra.free_gpus = ctx.free_gpus;
       ra.all_gpus = topology_->all_gpus();
-      ra.assignments.reserve(plan.assignments.size());
+      round_audit.clear();
       for (const Assignment& a : plan.assignments) {
-        audit::AssignmentAudit aa;
-        aa.mask = a.mask;
-        aa.num_requests = static_cast<int>(a.requests.size());
-        aa.max_steps = a.max_steps;
-        ra.assignments.push_back(aa);
+        round_audit.push_back({a.mask, static_cast<int>(a.requests.size()),
+                               a.max_steps});
       }
+      ra.assignments = round_audit;
       auditor->OnRoundPlan(ra);
     }
 

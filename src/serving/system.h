@@ -73,15 +73,6 @@ struct ServingConfig {
   int profile_samples = 20;
   /** Largest batch profiled and allowed. */
   int max_batch = 8;
-  /**
-   * Profile every degree 1..num_gpus instead of just the powers of
-   * two. Power-of-two cells are profiled first on the same RNG stream,
-   * so they are bit-identical to a non-extended profile of the same
-   * seed. Required by schedulers running with allow_non_pow2; the
-   * self-installed audit suite relaxes its pow2 degree checks to
-   * match.
-   */
-  bool extended_degrees = false;
   /** Record the full execution timeline (Gantt data) in the result. */
   bool record_timeline = false;
   /**

@@ -342,11 +342,12 @@ TEST_F(AllocationTest, AuditModeSweepIsViolationFree)
           for (const AllocationSegment& seg : plan.segments) {
             // Segments execute sequentially: audit each as its own
             // single-assignment round on an idle 8-GPU node.
+            const audit::AssignmentAudit assignment = {
+                cluster::FullMask(seg.degree), 1, seg.steps};
             audit::RoundAudit round;
             round.free_gpus = cluster::FullMask(8);
             round.all_gpus = cluster::FullMask(8);
-            round.assignments.push_back(
-                {cluster::FullMask(seg.degree), 1, seg.steps});
+            round.assignments = {&assignment, 1};
             auditor.OnRoundPlan(round);
           }
         }

@@ -1,12 +1,10 @@
 /**
  * @file
- * GpuAllocator property test for the relaxed-placement flag: across
- * 10k randomized allocate/release/fail/recover cycles (pow2 and
- * non-pow2 sizes) the allocator never hands out a mask that overlaps
- * a live allocation, touches a failed GPU, leaves the node, or has
- * the wrong width — and its free count always matches a model
- * tracking busy/failed sets independently. The classic pow2-only mode
- * runs through the same machine as a control.
+ * GpuAllocator property test: across 10k randomized
+ * allocate/release/fail/recover cycles the allocator never hands out a
+ * mask that overlaps a live allocation, touches a failed GPU, leaves
+ * the node, or has the wrong width — and its free count always matches
+ * a model tracking busy/failed sets independently.
  */
 #include <gtest/gtest.h>
 
@@ -25,18 +23,12 @@ struct LiveAlloc {
   int width = 0;
 };
 
-class AllocatorProperty : public ::testing::TestWithParam<bool> {
-};
-
-TEST_P(AllocatorProperty, TenThousandRandomizedCyclesStayDisjoint)
+TEST(AllocatorProperty, TenThousandRandomizedCyclesStayDisjoint)
 {
-  const bool non_pow2 = GetParam();
   const auto topo = Topology::H100Node();
   GpuAllocator allocator(&topo);
-  allocator.set_allow_non_pow2(non_pow2);
-  EXPECT_EQ(allocator.allow_non_pow2(), non_pow2);
 
-  Rng rng(non_pow2 ? 20260807 : 8070262);
+  Rng rng(8070262);
   std::vector<LiveAlloc> live;
   GpuMask busy = 0;    // independent model of allocated GPUs
   GpuMask failed = 0;  // independent model of failed GPUs
@@ -48,9 +40,7 @@ TEST_P(AllocatorProperty, TenThousandRandomizedCyclesStayDisjoint)
     if (roll < 0.5) {
       // Allocate a random width with a random (possibly stale)
       // placement preference.
-      const int k = non_pow2
-                        ? 1 + static_cast<int>(rng.NextBelow(8))
-                        : pow2_sizes[rng.NextBelow(4)];
+      const int k = pow2_sizes[rng.NextBelow(4)];
       const GpuMask prefer =
           rng.NextDouble() < 0.5
               ? static_cast<GpuMask>(rng.NextBelow(256))
@@ -114,38 +104,6 @@ TEST_P(AllocatorProperty, TenThousandRandomizedCyclesStayDisjoint)
   // The sweep exercised the interesting paths, not just refusals (an
   // 8-GPU node saturates fast, so most attempts are legal refusals).
   EXPECT_GT(granted, 1000);
-}
-
-INSTANTIATE_TEST_SUITE_P(PlacementModes, AllocatorProperty,
-                         ::testing::Values(false, true));
-
-TEST(AllocatorRelaxed, NonPow2PrefersContiguousBlocks)
-{
-  const auto topo = Topology::H100Node();
-  GpuAllocator allocator(&topo);
-  allocator.set_allow_non_pow2(true);
-  // On an empty node a degree-3 request gets the lowest contiguous
-  // block (no buddy alignment exists for 3).
-  const auto mask = allocator.Allocate(3);
-  ASSERT_TRUE(mask.has_value());
-  EXPECT_EQ(*mask, FullMask(3));
-  // A second degree-3 request lands on the next contiguous run.
-  const auto mask2 = allocator.Allocate(3);
-  ASSERT_TRUE(mask2.has_value());
-  EXPECT_EQ(Popcount(*mask2), 3);
-  EXPECT_EQ(*mask & *mask2, 0u);
-}
-
-TEST(AllocatorRelaxed, ExactPreferenceStillWinsForNonPow2)
-{
-  const auto topo = Topology::H100Node();
-  GpuAllocator allocator(&topo);
-  allocator.set_allow_non_pow2(true);
-  const GpuMask prev = (GpuMask{1} << 1) | (GpuMask{1} << 4) |
-                       (GpuMask{1} << 6);
-  const auto mask = allocator.Allocate(3, prev);
-  ASSERT_TRUE(mask.has_value());
-  EXPECT_EQ(*mask, prev);  // placement preservation beats contiguity
 }
 
 }  // namespace

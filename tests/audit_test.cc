@@ -131,6 +131,30 @@ TEST(AuditNegativeTest, MonotonicityCheckerFlagsBackwardsClock)
   EXPECT_EQ(auditor.total_violations(), 1u);
 }
 
+TEST(IdTableTest, InsertFindAndVisitAcrossGrowth)
+{
+  // Ids 64 apart, alternating in sign, share their low bits; 5000 of
+  // them force several doublings, and every entry must survive each.
+  IdTable<int> table;
+  for (int i = 0; i < 5000; ++i) {
+    const RequestId id = (i % 2 == 0 ? 64 : -64) * RequestId{i};
+    EXPECT_TRUE(table.Insert(id, i).second) << id;
+  }
+  EXPECT_FALSE(table.Insert(128, -1).second);
+  EXPECT_EQ(*table.Find(128), 2);
+  EXPECT_EQ(*table.Find(-64), 1);
+  EXPECT_EQ(table.Find(64), nullptr);
+  table[64] += 7;
+  EXPECT_EQ(*table.Find(64), 7);
+  int visited = 0;
+  table.ForEach([&](RequestId id, int value) {
+    ++visited;
+    if (id == 64) return;
+    EXPECT_EQ(id, (value % 2 == 0 ? 64 : -64) * RequestId{value});
+  });
+  EXPECT_EQ(visited, 5001);
+}
+
 TEST(AuditNegativeTest, ConservationCheckerFlagsDoubleBooking)
 {
   Auditor auditor;
@@ -140,8 +164,11 @@ TEST(AuditNegativeTest, ConservationCheckerFlagsDoubleBooking)
   round.round_end = 2000;
   round.free_gpus = 0xFF;
   round.all_gpus = 0xFF;
-  round.assignments.push_back({/*mask=*/0b0011, 1, 5});
-  round.assignments.push_back({/*mask=*/0b0110, 1, 5});  // overlaps bit 1
+  const AssignmentAudit assignments[] = {
+      {/*mask=*/0b0011, 1, 5},
+      {/*mask=*/0b0110, 1, 5},  // overlaps bit 1
+  };
+  round.assignments = assignments;
   auditor.OnRoundPlan(round);
   ASSERT_EQ(auditor.total_violations(), 1u);
   EXPECT_NE(auditor.violations()[0].message.find("double-books"),
@@ -155,7 +182,8 @@ TEST(AuditNegativeTest, ConservationCheckerFlagsNonPowerOfTwoDegree)
   RoundAudit round;
   round.free_gpus = 0xFF;
   round.all_gpus = 0xFF;
-  round.assignments.push_back({/*mask=*/0b0111, 1, 5});  // degree 3
+  const AssignmentAudit degree_three[] = {{/*mask=*/0b0111, 1, 5}};
+  round.assignments = degree_three;
   auditor.OnRoundPlan(round);
   ASSERT_EQ(auditor.total_violations(), 1u);
   EXPECT_NE(auditor.violations()[0].message.find("power of two"),
@@ -169,8 +197,11 @@ TEST(AuditNegativeTest, ConservationCheckerFlagsBusyAndForeignGpus)
   RoundAudit round;
   round.free_gpus = 0x0F;
   round.all_gpus = 0xFF;
-  round.assignments.push_back({/*mask=*/0b110000, 1, 5});  // busy GPUs
-  round.assignments.push_back({/*mask=*/0x100, 1, 5});     // off-node
+  const AssignmentAudit assignments[] = {
+      {/*mask=*/0b110000, 1, 5},  // busy GPUs
+      {/*mask=*/0x100, 1, 5},     // off-node
+  };
+  round.assignments = assignments;
   auditor.OnRoundPlan(round);
   EXPECT_GE(auditor.total_violations(), 2u);
 }
@@ -258,7 +289,9 @@ TEST(AuditNegativeTest, DeadlineCheckerFlagsOverdispatch)
   d.now = 100;
   d.mask = 0b1;
   d.steps = 12;  // more than the 10 remaining
-  d.members.push_back({1, /*remaining_steps=*/10, /*resolution=*/0});
+  const MemberAudit members[] = {
+      {1, /*remaining_steps=*/10, /*resolution=*/0}};
+  d.members = members;
   auditor.OnDispatch(d);
   ASSERT_GE(auditor.total_violations(), 1u);
   EXPECT_NE(auditor.violations()[0].message.find("exceeds remaining"),
@@ -274,7 +307,8 @@ TEST(AuditNegativeTest, DeadlineCheckerFlagsEarlyFinish)
   c.now = 500;
   c.mask = 0b1;
   c.steps = 4;
-  c.requests = {1};
+  const RequestId requests[] = {1};
+  c.requests = requests;
   auditor.OnAssignmentComplete(c);
   auditor.OnRequestTransition(
       1, static_cast<int>(serving::RequestState::kRunning),
@@ -294,8 +328,9 @@ TEST(AuditNegativeTest, DeadlineCheckerFlagsMixedResolutionBatch)
   d.now = 100;
   d.mask = 0b1;
   d.steps = 5;
-  d.members.push_back({1, 10, /*resolution=*/0});
-  d.members.push_back({2, 10, /*resolution=*/2});
+  const MemberAudit members[] = {{1, 10, /*resolution=*/0},
+                                 {2, 10, /*resolution=*/2}};
+  d.members = members;
   auditor.OnDispatch(d);
   ASSERT_GE(auditor.total_violations(), 1u);
   EXPECT_NE(auditor.violations()[0].message.find("mix resolutions"),
@@ -373,7 +408,8 @@ TEST(AuditNegativeTest, HealthCheckerFlagsWorkOnFailedGpus)
   round.now = 200;
   round.free_gpus = 0xFF;
   round.all_gpus = 0xFF;
-  round.assignments.push_back({/*mask=*/0b0001, 1, 5});
+  const AssignmentAudit assignments[] = {{/*mask=*/0b0001, 1, 5}};
+  round.assignments = assignments;
   auditor.OnRoundPlan(round);
   ASSERT_EQ(auditor.total_violations(), 1u);
   EXPECT_NE(auditor.violations()[0].message.find("plan schedules work"),

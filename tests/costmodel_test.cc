@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "cluster/allocator.h"
 #include "costmodel/latency_table.h"
 #include "util/stats.h"
 #include "costmodel/model_config.h"
@@ -294,9 +295,9 @@ TEST_F(LatencyTableTest, StepTimeCacheFrontsItsBoundTable)
   ExpectCacheMatchesTable(&cache, table_);
 
   // A re-Bind drops every value of the first table: a warm cache now
-  // answers with the cells of the second table (extended degrees,
-  // smaller batch, other seed), which differ from the first table's.
-  const LatencyTable other = LatencyTable::Profile(cost_, 3, 60, 6, true);
+  // answers with the cells of the second table (smaller batch, other
+  // seed), which differ from the first table's.
+  const LatencyTable other = LatencyTable::Profile(cost_, 3, 60, 6);
   ASSERT_NE(other.StepTimeUs(Resolution::k1024, 2),
             table_.StepTimeUs(Resolution::k1024, 2));
   cache.Bind(&other);
@@ -305,6 +306,18 @@ TEST_F(LatencyTableTest, StepTimeCacheFrontsItsBoundTable)
 
   cache.Bind(&table_);
   ExpectCacheMatchesTable(&cache, table_);
+}
+
+/** Every SP degree is a power of two: the table has no cell for degree
+ * 3 and the allocator refuses to place one. */
+using LatencyTableDeathTest = LatencyTableTest;
+
+TEST_F(LatencyTableDeathTest, NonPowerOfTwoDegreePanics)
+{
+  EXPECT_DEATH(table_.StepTimeUs(Resolution::k1024, 3, 1),
+               "not a profiled power of two");
+  cluster::GpuAllocator allocator(&topo_);
+  EXPECT_DEATH(allocator.Allocate(3), "IsPow2");
 }
 
 TEST(ResolutionTest, IndexRoundtrip)

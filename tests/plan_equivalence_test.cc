@@ -286,71 +286,5 @@ TEST_P(EndToEndEquivalence, RunsAreAssignmentIdentical)
 INSTANTIATE_TEST_SUITE_P(MixedTraces, EndToEndEquivalence,
                          ::testing::ValuesIn(kEndToEndRuns));
 
-/**
- * Packer matrix over full serving runs: an explicit "dp" packer is the
- * default Stage 2, so its run must be bit-identical to the default
- * scheduler's; "progressive" is a feasible heuristic, so it must serve
- * the same request set to terminal states with attainment in the same
- * regime (>= half the DP's on these mild traces), without ever beating
- * the DP by more than the DP's own optimality allows at the round
- * level.
- */
-class PackerMatrixEquivalence
-    : public ::testing::TestWithParam<std::tuple<int, double>> {
-};
-
-TEST_P(PackerMatrixEquivalence, DpPathsIdenticalProgressiveBounded)
-{
-  auto [model_idx, slo_scale] = GetParam();
-  auto model =
-      model_idx == 0 ? ModelConfig::FluxDev() : ModelConfig::Sd3Medium();
-  auto topo = Topology::H100Node();
-  serving::ServingConfig config;
-  config.record_timeline = true;
-  serving::ServingSystem system(&topo, &model, config);
-
-  workload::TraceSpec spec;
-  spec.num_requests = 80;
-  spec.slo_scale = slo_scale;
-  if (model_idx == 1) spec.mix = workload::ResolutionMix::Skewed();
-  auto trace = workload::BuildTrace(spec);
-
-  auto run = [&](packers::PackerKind kind) {
-    TetriOptions opts;
-    opts.packer = kind;
-    TetriScheduler scheduler(&system.table(), opts);
-    return system.Run(&scheduler, trace);
-  };
-  auto builtin_result = [&] {
-    TetriScheduler scheduler(&system.table());
-    return system.Run(&scheduler, trace);
-  }();
-  auto dp_result = run(packers::PackerKind::kDp);
-  auto progressive_result = run(packers::PackerKind::kProgressive);
-
-  // dp == builtin, execution log entry for entry.
-  EXPECT_EQ(RenderRun(builtin_result), RenderRun(dp_result));
-
-  // Progressive: same request universe, terminal outcomes for all,
-  // attainment in the DP's regime.
-  ASSERT_EQ(progressive_result.records.size(),
-            builtin_result.records.size());
-  for (const auto& record : progressive_result.records) {
-    EXPECT_NE(record.outcome, metrics::Outcome::kUnfinished)
-        << "request " << record.id;
-  }
-  const auto dp_sar = builtin_result.Sar();
-  const auto progressive_sar = progressive_result.Sar();
-  EXPECT_EQ(progressive_sar.total, dp_sar.total);
-  EXPECT_GE(progressive_sar.met, dp_sar.met / 2)
-      << "progressive attained " << progressive_sar.met << "/"
-      << progressive_sar.total << " vs dp " << dp_sar.met;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    PackerMatrix, PackerMatrixEquivalence,
-    ::testing::Combine(::testing::Values(0, 1),
-                       ::testing::Values(1.0, 1.4)));
-
 }  // namespace
 }  // namespace tetri::core

@@ -714,15 +714,17 @@ TEST_P(PlanValiditySweep, StructurallyValid)
   // The same plan must also satisfy the audit-layer round invariants.
   audit::Auditor auditor;
   audit::InstallStandardCheckers(auditor);
+  std::vector<audit::AssignmentAudit> assignments;
+  for (const auto& a : plan.assignments) {
+    assignments.push_back(
+        {a.mask, static_cast<int>(a.requests.size()), a.max_steps});
+  }
   audit::RoundAudit round;
   round.now = ctx.now;
   round.round_end = ctx.round_end;
   round.free_gpus = ctx.free_gpus;
   round.all_gpus = topo.all_gpus();
-  for (const auto& a : plan.assignments) {
-    round.assignments.push_back(
-        {a.mask, static_cast<int>(a.requests.size()), a.max_steps});
-  }
+  round.assignments = assignments;
   auditor.OnRoundPlan(round);
   EXPECT_TRUE(auditor.clean()) << auditor.Summary();
 }

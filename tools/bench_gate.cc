@@ -53,13 +53,6 @@ struct Config {
   double fast_p99_us = 0.0;
 };
 
-struct PackerRow {
-  std::string packer;
-  double plan_p50_us = 0.0;
-  int frag_met = 0;
-  int frag_total = 0;
-};
-
 struct ScalingRow {
   std::string scheduler;
   int num_requests = 0;
@@ -69,7 +62,6 @@ struct ScalingRow {
 struct Report {
   std::string mode;
   std::vector<Config> configs;
-  std::vector<PackerRow> packers;  // optional "packers" block
   std::vector<ScalingRow> scaling;  // optional "scaling" block
 };
 
@@ -125,8 +117,7 @@ ArrayObjects(const std::string& text, const std::string& key)
 
 /**
  * Minimal parse of the bench_micro_scheduler JSON shape: pull the
- * "mode" string and every {...} object inside the "configs" array
- * (plus the optional "packers" array, when present), or
+ * "mode" string and every {...} object inside the "configs" array, or
  * the bench_e2e_scaling shape with its "scaling" array.
  * Deliberately not a general JSON parser — the producer is ours and
  * writes flat objects with no nested braces inside configs.
@@ -161,19 +152,6 @@ ParseReport(const std::string& path, Report* out)
     if (c.queue_depth > 0 && c.num_gpus > 0 &&
         std::isfinite(c.fast_p50_us)) {
       out->configs.push_back(c);
-    }
-  }
-
-  // Optional packer-matrix block (bench_micro_scheduler --packers).
-  // Older reports predate it, so absence is not an error.
-  for (const std::string& obj : ArrayObjects(text, "packers")) {
-    PackerRow row;
-    row.packer = StringField(obj, "packer");
-    row.plan_p50_us = NumberField(obj, "plan_p50_us");
-    row.frag_met = static_cast<int>(NumberField(obj, "frag_met"));
-    row.frag_total = static_cast<int>(NumberField(obj, "frag_total"));
-    if (!row.packer.empty() && std::isfinite(row.plan_p50_us)) {
-      out->packers.push_back(row);
     }
   }
 
@@ -411,33 +389,6 @@ main(int argc, char** argv)
       "bench_gate: %d config(s), geomean fast_p50 ratio %.3f "
       "(threshold %.2f, current mode '%s')\n",
       matched, geomean, threshold, current.mode.c_str());
-
-  // Packer matrix (when the current report carries one): print the
-  // rows and enforce the recorded invariant — the progressive
-  // packer's SLO attainment on the fragmented-node scenario must be
-  // at least the DP's. Reports without the block (older baselines,
-  // runs without --packers) skip the check.
-  if (!current.packers.empty()) {
-    const PackerRow* dp = nullptr;
-    const PackerRow* progressive = nullptr;
-    std::printf("%12s %14s %10s %12s\n", "packer", "plan_p50_us",
-                "frag_met", "frag_total");
-    for (const PackerRow& row : current.packers) {
-      std::printf("%12s %14.3f %10d %12d\n", row.packer.c_str(),
-                  row.plan_p50_us, row.frag_met, row.frag_total);
-      if (row.packer == "dp") dp = &row;
-      if (row.packer == "progressive") progressive = &row;
-    }
-    if (dp != nullptr && progressive != nullptr &&
-        progressive->frag_met < dp->frag_met) {
-      std::cerr << "bench_gate: FAIL — progressive packer met "
-                << progressive->frag_met << "/"
-                << progressive->frag_total
-                << " SLOs on the fragmented node vs dp's "
-                << dp->frag_met << "\n";
-      return 1;
-    }
-  }
 
   if (!trajectory_path.empty()) {
     char fields[256];
