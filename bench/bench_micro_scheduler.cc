@@ -259,7 +259,9 @@ BENCHMARK(BM_FullPlan)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 // One dispatch's jittered span, as the engine prices it: a 95 ms step
 // mean and a cv of 0.5%, inside Table 1's profiled range. The exact
 // variant is the per-step libm loop util::JitteredSpanUs falls back
-// to; per_step is the figure to compare.
+// to; per_step is the figure to compare. The step counts are
+// replay_long's common dispatch lengths (1, 5, 13, 20) and whole
+// requests (28, 50).
 constexpr double kJitterMeanUs = 95'000.0;
 constexpr double kJitterCv = 0.005;
 
@@ -287,7 +289,14 @@ BM_JitterSpanExact(benchmark::State& state)
   }
   SetTimePerStep(state, steps);
 }
-BENCHMARK(BM_JitterSpanExact)->Arg(4)->Arg(28)->Arg(50);
+BENCHMARK(BM_JitterSpanExact)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(5)
+    ->Arg(13)
+    ->Arg(20)
+    ->Arg(28)
+    ->Arg(50);
 
 void
 BM_JitterSpanCertified(benchmark::State& state)
@@ -300,7 +309,14 @@ BM_JitterSpanCertified(benchmark::State& state)
   }
   SetTimePerStep(state, steps);
 }
-BENCHMARK(BM_JitterSpanCertified)->Arg(4)->Arg(28)->Arg(50);
+BENCHMARK(BM_JitterSpanCertified)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(5)
+    ->Arg(13)
+    ->Arg(20)
+    ->Arg(28)
+    ->Arg(50);
 
 // ---------------------------------------------------------------
 // Chaos cycle (--chaos-seed=N [--fail-gpus=K])

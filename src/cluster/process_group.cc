@@ -31,7 +31,7 @@ ProcessGroupCache::WarmupCost(GpuMask mask) const
 }
 
 TimeUs
-ProcessGroupCache::EnsureWarmLocked(GpuMask mask)
+ProcessGroupCache::EnsureWarm(GpuMask mask)
 {
   TETRI_CHECK((mask & ~topology_->all_gpus()) == 0);
   if (Popcount(mask) <= 1) return 0;
@@ -47,18 +47,10 @@ ProcessGroupCache::EnsureWarmLocked(GpuMask mask)
 }
 
 TimeUs
-ProcessGroupCache::EnsureWarm(GpuMask mask)
-{
-  const util::MutexLock lock(mu_);
-  return EnsureWarmLocked(mask);
-}
-
-TimeUs
 ProcessGroupCache::WarmAll(const std::vector<GpuMask>& groups)
 {
-  const util::MutexLock lock(mu_);
   TimeUs total = 0;
-  for (GpuMask g : groups) total += EnsureWarmLocked(g);
+  for (GpuMask g : groups) total += EnsureWarm(g);
   return total;
 }
 
@@ -66,7 +58,6 @@ int
 ProcessGroupCache::Invalidate(GpuMask mask)
 {
   TETRI_CHECK((mask & ~topology_->all_gpus()) == 0);
-  const util::MutexLock lock(mu_);
   // Compact the survivors in place; they stay in ascending order.
   std::size_t kept = 0;
   for (const GpuMask group : warm_) {
@@ -87,7 +78,6 @@ bool
 ProcessGroupCache::IsWarm(GpuMask mask) const
 {
   if (Popcount(mask) <= 1) return true;
-  const util::MutexLock lock(mu_);
   return std::binary_search(warm_.begin(), warm_.end(), mask);
 }
 
@@ -95,7 +85,6 @@ double
 ProcessGroupCache::BufferMibOnGpu(int gpu) const
 {
   TETRI_CHECK(gpu >= 0 && gpu < topology_->num_gpus());
-  const util::MutexLock lock(mu_);
   return buffer_mib_[gpu];
 }
 

@@ -9,10 +9,10 @@
  * warmup latency and per-GPU buffer memory for each distinct group, so
  * benches can report both startup cost and peak memory pressure.
  *
- * Thread-safe: the warm set is shared between the planner and the
- * failure-recovery path (chaos invalidation), which the concurrent
- * serving runtime runs on different threads; all mutable state is
- * guarded by one mutex and checked by -Wthread-safety.
+ * Not thread-safe: its one owner is the single-threaded
+ * serving::ExecutionEngine, which warms groups on dispatch and
+ * invalidates them on GPU failure from the same event loop. Nothing in
+ * the concurrent serving runtime reaches it.
  */
 #ifndef TETRI_CLUSTER_PROCESS_GROUP_H
 #define TETRI_CLUSTER_PROCESS_GROUP_H
@@ -20,8 +20,6 @@
 #include <vector>
 
 #include "cluster/topology.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/types.h"
 
 namespace tetri::cluster {
@@ -48,10 +46,7 @@ class ProcessGroupCache {
   TimeUs WarmAll(const std::vector<GpuMask>& groups);
 
   bool IsWarm(GpuMask mask) const;
-  std::size_t NumWarmGroups() const {
-    const util::MutexLock lock(mu_);
-    return warm_.size();
-  }
+  std::size_t NumWarmGroups() const { return warm_.size(); }
 
   /**
    * Process-group collapse: evict every warm group containing a GPU in
@@ -65,10 +60,7 @@ class ProcessGroupCache {
   double BufferMibOnGpu(int gpu) const;
 
   /** Sum of warmup latencies charged so far. */
-  TimeUs total_warmup_us() const {
-    const util::MutexLock lock(mu_);
-    return total_warmup_us_;
-  }
+  TimeUs total_warmup_us() const { return total_warmup_us_; }
 
   /**
    * The compact default warm set from §5: every buddy-aligned block of
@@ -79,17 +71,15 @@ class ProcessGroupCache {
 
  private:
   TimeUs WarmupCost(GpuMask mask) const;
-  TimeUs EnsureWarmLocked(GpuMask mask) TETRI_REQUIRES(mu_);
 
   const Topology* topology_;
   double warmup_latency_us_;
   double buffer_mib_per_gpu_;
-  mutable util::Mutex mu_;
   /** Warm groups, ascending: a node has few distinct groups, so a
    * binary search is the whole warm check. */
-  std::vector<GpuMask> warm_ TETRI_GUARDED_BY(mu_);
-  std::vector<double> buffer_mib_ TETRI_GUARDED_BY(mu_);
-  TimeUs total_warmup_us_ TETRI_GUARDED_BY(mu_) = 0;
+  std::vector<GpuMask> warm_;
+  std::vector<double> buffer_mib_;
+  TimeUs total_warmup_us_ = 0;
 };
 
 }  // namespace tetri::cluster

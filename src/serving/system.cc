@@ -49,6 +49,9 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
                      }),
       "trace requests are not ordered by arrival");
 
+  // Times every PlanInto in ticks; converted to µs once, after the run,
+  // against steady_clock over the whole run.
+  util::CycleStopwatch plan_clock;
   sim::Simulator simulator;
   RequestTracker tracker;
   LatentManager latents(&cost_);
@@ -148,13 +151,10 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
     ctx.topology = topology_;
     ctx.table = &table_;
 
-    const util::WallTimer wall;
+    plan_clock.Start();
     scheduler->PlanInto(ctx, &plan);
-    const double wall_us = wall.ElapsedUs();
+    plan_clock.Stop();
     ++result.num_scheduler_calls;
-    result.scheduler_wall_us_total += wall_us;
-    result.scheduler_wall_us_max =
-        std::max(result.scheduler_wall_us_max, wall_us);
 
     if (auditor != nullptr) {
       audit::RoundAudit ra;
@@ -307,6 +307,12 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
     tracer->OnEvent(ev);
     scheduler->set_trace(nullptr);
   }
+
+  const double us_per_tick = plan_clock.UsPerTick();
+  result.scheduler_wall_us_total =
+      static_cast<double>(plan_clock.total_ticks()) * us_per_tick;
+  result.scheduler_wall_us_max =
+      static_cast<double>(plan_clock.max_ticks()) * us_per_tick;
 
   result.records = tracker.Records();
   for (const metrics::RequestRecord& rec : result.records) {

@@ -110,7 +110,8 @@ struct ServingResult {
   double busy_gpu_us = 0.0;
   TimeUs makespan_us = 0;
   int num_scheduler_calls = 0;
-  /** Host wall-clock spent inside Scheduler::Plan (Table 6 / §4.2). */
+  /** Host wall-clock spent inside Scheduler::PlanInto (Table 6 / §4.2),
+   * timed in util::CycleStopwatch ticks and converted once per run. */
   double scheduler_wall_us_total = 0.0;
   double scheduler_wall_us_max = 0.0;
   TimeUs latent_transfer_us = 0;

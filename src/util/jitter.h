@@ -10,7 +10,10 @@
  *
  *  - It draws the same two uniforms per step and evaluates the Gaussian
  *    with FastGaussian, whose error against libm stays below
- *    kJitterDelta·(|g| + 1).
+ *    kJitterDelta·(|g| + 1). With SSE2 it draws a block's uniforms
+ *    first, then evaluates ĝ and each step's term two steps per
+ *    vector, every lane bit-equal to the scalar step; the sums still
+ *    take the terms one by one, in step order.
  *  - It carries a bound E on the distance between its sum and the
  *    exact loop's: mean·cv·kJitterDelta·Σ(|ĝ| + 1) for the polynomials
  *    plus 8(k + 1)·sum·2⁻⁵² for the two loops' different rounding over
@@ -91,6 +94,15 @@ FastGaussian(double u1, double u2)
             w2 * (1.0 / 6227020800 - w * (1.0 / 1307674368000)));
   return -radius * (y * sin_over_y);
 }
+
+/**
+ * @p g[i] = FastGaussian(@p u1[i], @p u2[i]) for i < @p n, bit for bit.
+ * With SSE2 (the x86-64 baseline) two lanes are evaluated per packed
+ * instruction: mul, add, div and sqrt round each lane as the scalar
+ * operation would, so every lane equals the scalar polynomial. An odd
+ * tail pads its second lane with (0, 0), which is never stored.
+ */
+void FastGaussians(const double* u1, const double* u2, int n, double* g);
 
 /**
  * Wall-clock microseconds of @p steps jittered steps of mean

@@ -5,39 +5,50 @@
 
 namespace tetri::util {
 
-namespace {
-
 std::int64_t
-NowNs()
+SteadyNowNs()
 {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-}  // namespace
-
 WallTimer::WallTimer()
-    : start_ns_(NowNs())
+    : start_ns_(SteadyNowNs())
 {
 }
 
 void
 WallTimer::Restart()
 {
-  start_ns_ = NowNs();
+  start_ns_ = SteadyNowNs();
 }
 
 double
 WallTimer::ElapsedUs() const
 {
-  return static_cast<double>(NowNs() - start_ns_) * 1e-3;
+  return static_cast<double>(SteadyNowNs() - start_ns_) * 1e-3;
 }
 
 double
 WallTimer::ElapsedSec() const
 {
-  return static_cast<double>(NowNs() - start_ns_) * 1e-9;
+  return static_cast<double>(SteadyNowNs() - start_ns_) * 1e-9;
+}
+
+CycleStopwatch::CycleStopwatch()
+    : calibration_ns_(SteadyNowNs()),
+      calibration_ticks_(Ticks())
+{
+}
+
+double
+CycleStopwatch::UsPerTick() const
+{
+  const std::int64_t ticks = Ticks() - calibration_ticks_;
+  const std::int64_t ns = SteadyNowNs() - calibration_ns_;
+  if (ticks <= 0) return 0.0;
+  return static_cast<double>(ns) * 1e-3 / static_cast<double>(ticks);
 }
 
 void

@@ -3,7 +3,8 @@
  * util::JitteredSpanUs against the exact per-step loop it replaces
  * (DESIGN.md §8, "Engine pricing"): the same rounded span, the same
  * rounded step boundaries and the same RNG state afterwards, on random
- * cases, at the polynomials' edge inputs, and on inputs built to force
+ * cases, on every step count up to 64, at the polynomials' edge inputs
+ * (in both lanes of the two-lane kernel), and on inputs built to force
  * each fallback. The oracle below is the engine's original loop: one
  * libm Box-Muller draw per step, clamped at 0.5 and summed in order.
  */
@@ -12,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "util/rounding.h"
@@ -187,6 +190,102 @@ TEST(JitterSpanTest, ApproximationErrorStaysFarBelowDelta)
   EXPECT_LE(worst, kJitterDelta / 50);
 }
 
+/** FastGaussians over @p u1 and @p u2, each lane held bit-equal to
+ * the scalar FastGaussian and within kJitterDelta / 50 of libm. */
+void
+ExpectLanesMatch(const std::vector<double>& u1, const std::vector<double>& u2)
+{
+  std::vector<double> g(u1.size());
+  FastGaussians(u1.data(), u2.data(), static_cast<int>(u1.size()),
+                g.data());
+  for (std::size_t i = 0; i < u1.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g[i]),
+              std::bit_cast<std::uint64_t>(FastGaussian(u1[i], u2[i])))
+        << "lane " << i % 2 << " u1 " << u1[i] << " u2 " << u2[i];
+    const double exact = LibmGaussian(u1[i], u2[i]);
+    EXPECT_LE(std::fabs(g[i] - exact) / (std::fabs(exact) + 1.0),
+              kJitterDelta / 50)
+        << "lane " << i % 2 << " u1 " << u1[i] << " u2 " << u2[i];
+  }
+}
+
+TEST(JitterSpanTest, TwoLaneKernelAtEdgeInputs)
+{
+  const double root = std::numbers::sqrt2;
+  // u1: the log(0) guard, the smallest and largest draws, and
+  // mantissas either side of √2 (the exponent split) at two exponents.
+  const std::vector<double> u1s = {
+      0.0,
+      0x1p-53,
+      1.0 - 0x1p-53,
+      std::nextafter(root / 2, 0.0),
+      root / 2,
+      std::nextafter(root / 2, 1.0),
+      std::nextafter(root / 8, 0.0),
+      root / 8,
+      std::nextafter(root / 8, 1.0),
+  };
+  const std::vector<double> u2s = {0.0, 0.25, 0.5, 0.75, 1.0 - 0x1p-53};
+  std::vector<std::pair<double, double>> pairs;
+  for (double u1 : u1s) {
+    for (double u2 : u2s) pairs.emplace_back(u1, u2);
+  }
+  // Every pair in both lanes beside every other pair, then each one
+  // alone as an odd tail.
+  for (const auto& [a1, a2] : pairs) {
+    for (const auto& [b1, b2] : pairs) {
+      ExpectLanesMatch({a1, b1}, {a2, b2});
+    }
+    ExpectLanesMatch({a1}, {a2});
+    if (HasFailure()) return;
+  }
+}
+
+TEST(JitterSpanTest, TwoLaneKernelOnRandomPairs)
+{
+  // Ten million NextDouble pairs through the kernel, in blocks with an
+  // odd tail so both lanes and the padded tail are all exercised.
+  Rng rng(2025);
+  constexpr int kBlockSize = 1001;
+  std::vector<double> u1(kBlockSize);
+  std::vector<double> u2(kBlockSize);
+  std::vector<double> g(kBlockSize);
+  double worst = 0.0;
+  std::int64_t mismatches = 0;
+  for (int done = 0; done < 10'000'000; done += kBlockSize) {
+    for (int i = 0; i < kBlockSize; ++i) {
+      u1[i] = rng.NextDouble();
+      u2[i] = rng.NextDouble();
+    }
+    FastGaussians(u1.data(), u2.data(), kBlockSize, g.data());
+    for (int i = 0; i < kBlockSize; ++i) {
+      mismatches += std::bit_cast<std::uint64_t>(g[i]) !=
+                    std::bit_cast<std::uint64_t>(FastGaussian(u1[i], u2[i]));
+      const double exact = LibmGaussian(u1[i], u2[i]);
+      worst = std::max(worst,
+                       std::fabs(g[i] - exact) / (std::fabs(exact) + 1.0));
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_LE(worst, kJitterDelta / 50);
+}
+
+TEST(JitterSpanTest, EveryStepCountUpToSixtyFourMatchesExactLoop)
+{
+  // Odd tails and the block edges of the two-lane evaluation, traced
+  // and untraced, at a profiled step cost and at a wide cv.
+  Rng meta(64);
+  for (int steps = 1; steps <= 64; ++steps) {
+    for (int i = 0; i < 8; ++i) {
+      for (bool traced : {false, true}) {
+        ExpectExact(meta.NextU64(), 25'000.0, 0.007, steps, traced);
+        ExpectExact(meta.NextU64(), 137.0, 0.05, steps, traced);
+      }
+    }
+    if (HasFailure()) return;
+  }
+}
+
 TEST(JitterSpanTest, ClampRegionFallsBackToTheExactLoop)
 {
   // cv = 0.3 puts 1 + cv g below the 0.6 margin whenever g < -4/3,
@@ -207,6 +306,36 @@ TEST(JitterSpanTest, ClampRegionFallsBackToTheExactLoop)
                                     /*traced=*/true);
     EXPECT_FALSE(out.certified);
   }
+}
+
+TEST(JitterSpanTest, ClampCheckCoversEveryLaneOfAnOddBlock)
+{
+  // An odd block pads its last vector; the pad lane must be the only
+  // one the clamp check skips. Find spans whose only step below the
+  // margin is a second (odd-indexed) step of some earlier vector, and
+  // expect the exact loop to run.
+  Rng meta(7);
+  int checked = 0;
+  for (int i = 0; i < 20000 && checked < 200; ++i) {
+    const std::uint64_t seed = meta.NextU64();
+    const int steps = 3 + 2 * static_cast<int>(meta.NextBelow(7));
+    Rng probe(seed);
+    int low = 0;
+    int low_step = -1;
+    for (int s = 0; s < steps; ++s) {
+      if (1.0 + 0.3 * probe.NextGaussian() < 0.6) {
+        ++low;
+        low_step = s;
+      }
+    }
+    if (low != 1 || low_step % 2 != 1) continue;
+    ++checked;
+    for (bool traced : {false, true}) {
+      const Outcome out = ExpectExact(seed, 25'000.0, 0.3, steps, traced);
+      EXPECT_FALSE(out.certified) << "seed " << seed << " steps " << steps;
+    }
+  }
+  EXPECT_EQ(checked, 200);
 }
 
 TEST(JitterSpanTest, HalfIntegerSumFallsBackToTheExactLoop)

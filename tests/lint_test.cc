@@ -350,6 +350,35 @@ TEST(LintRuleTest, Wallclock)
             0);
 }
 
+TEST(LintRuleTest, WallclockBansTscReads)
+{
+  for (const std::string call :
+       {"__rdtsc()", "__rdtscp(&aux)", "__builtin_ia32_rdtsc()"}) {
+    const std::string body = "int x = 0;\nauto t = " + call + ";\n";
+    auto report = RunLint({Fixture("serving/x.cc", body)}, {"wallclock"});
+    EXPECT_EQ(CountRule(report, "wallclock"), 1) << call;
+    EXPECT_TRUE(Has(report, "wallclock", "src/serving/x.cc", 2)) << call;
+
+    // util/ and sim/ own host-time measurement.
+    EXPECT_EQ(CountRule(RunLint({Fixture("util/wallclock.h", body)},
+                                {"wallclock"}),
+                        "wallclock"),
+              0)
+        << call;
+    EXPECT_EQ(CountRule(RunLint({Fixture("sim/clock.cc", body)},
+                                {"wallclock"}),
+                        "wallclock"),
+              0)
+        << call;
+  }
+
+  // Longer identifiers that merely start with a banned name are not
+  // TSC reads.
+  const auto report = RunLint(
+      {Fixture("serving/x.cc", "int __rdtsc_count = 0;\n")}, {"wallclock"});
+  EXPECT_EQ(CountRule(report, "wallclock"), 0);
+}
+
 TEST(LintRuleTest, ThreadDiscipline)
 {
   const std::string body =

@@ -322,6 +322,21 @@ TEST(ServingSystemTest, FixedSpServesEverythingEventually)
   EXPECT_GT(result.num_scheduler_calls, 0);
 }
 
+TEST(ServingSystemTest, PlanWallTimeIsPositiveAndMaxBoundedByTotal)
+{
+  auto model = ModelConfig::FluxDev();
+  auto topo = Topology::H100Node();
+  ServingSystem system(&topo, &model);
+  workload::TraceSpec spec;
+  spec.num_requests = 20;
+  auto trace = workload::BuildTrace(spec);
+  baselines::FixedSpScheduler sched(2);
+  auto result = system.Run(&sched, trace);
+  ASSERT_GT(result.num_scheduler_calls, 0);
+  EXPECT_GT(result.scheduler_wall_us_max, 0.0);
+  EXPECT_LE(result.scheduler_wall_us_max, result.scheduler_wall_us_total);
+}
+
 TEST(ServingSystemTest, DeterministicAcrossRuns)
 {
   auto model = ModelConfig::FluxDev();

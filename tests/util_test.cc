@@ -16,6 +16,7 @@
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/types.h"
+#include "util/wallclock.h"
 
 namespace tetri {
 namespace {
@@ -247,6 +248,34 @@ TEST(TableTest, FormatHelpers)
 {
   EXPECT_EQ(FormatDouble(1.23456, 2), "1.23");
   EXPECT_EQ(FormatPercent(0.1234, 1), "12.3%");
+}
+
+TEST(CycleStopwatchTest, ReadsASleepInMicroseconds)
+{
+  util::CycleStopwatch watch;
+  watch.Start();
+  util::SleepForUs(20000);
+  watch.Stop();
+  const double us_per_tick = watch.UsPerTick();
+  const double total_us =
+      static_cast<double>(watch.total_ticks()) * us_per_tick;
+  EXPECT_GE(total_us, 15000.0);
+  EXPECT_LT(total_us, 1e6);
+  EXPECT_EQ(watch.max_ticks(), watch.total_ticks());
+}
+
+TEST(CycleStopwatchTest, AccumulatesTotalAndMax)
+{
+  util::CycleStopwatch watch;
+  for (double us : {2000.0, 6000.0, 1000.0}) {
+    watch.Start();
+    util::SleepForUs(us);
+    watch.Stop();
+  }
+  EXPECT_GT(watch.max_ticks(), 0);
+  EXPECT_LT(watch.max_ticks(), watch.total_ticks());
+  EXPECT_GE(static_cast<double>(watch.max_ticks()) * watch.UsPerTick(),
+            4500.0);
 }
 
 TEST(TypesTest, TimeConversions)

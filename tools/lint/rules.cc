@@ -564,6 +564,24 @@ CheckWallclock(const SourceFile& f, const Emit& emit)
                "util::WallTimer (util/wallclock.h)");
     }
   }
+  // A TSC read is host time too. FindToken matches prefixes, so a hit
+  // must also end at an identifier boundary: `__rdtsc` is not the
+  // prefix of a `__rdtscp` call.
+  static const char* kTscTokens[] = {"__rdtsc", "__rdtscp",
+                                     "__builtin_ia32_rdtsc"};
+  for (const char* token : kTscTokens) {
+    const std::size_t len = std::string(token).size();
+    for (std::size_t pos : FindToken(f.code, token)) {
+      if (pos + len < f.code.size() && IsIdentChar(f.code[pos + len])) {
+        continue;
+      }
+      emit(f.display, LineOf(f.code, pos),
+           std::string("'") + token +
+               "' outside src/util and src/sim; a time-stamp counter "
+               "read is host time — measure through "
+               "util::CycleStopwatch (util/wallclock.h)");
+    }
+  }
   for (std::size_t i = 0; i < f.code_lines.size(); ++i) {
     if (f.code_lines[i].rfind("#include <chrono>", 0) == 0) {
       emit(f.display, static_cast<int>(i) + 1,
@@ -686,8 +704,9 @@ RegisterDefaultRules(std::vector<Rule>* rules)
        per_file(CheckThreadDiscipline)});
   rules->push_back(
       {"wallclock",
-       "std::chrono wall-clock reads stay inside src/util and "
-       "src/sim (WallTimer); everything else runs on virtual time",
+       "std::chrono wall-clock and TSC reads stay inside src/util "
+       "and src/sim (WallTimer, CycleStopwatch); everything else "
+       "runs on virtual time",
        per_file(CheckWallclock)});
 }
 
