@@ -3,7 +3,8 @@
  * Microbenchmarks of TetriServe's control plane: the group-knapsack DP
  * (Algorithm 1), deadline-aware allocation, round-aware planning, the
  * Stage-1 staircase (cold build and warm lookups), a full Plan()
- * invocation at varying queue depths, and the engine's jittered span
+ * invocation at varying queue depths (also over a mostly-late
+ * backlog), and the engine's jittered span
  * per dispatch — substantiating
  * the paper's claim of millisecond control-plane latency (§5, Table 6).
  *
@@ -232,8 +233,39 @@ FillQueue(serving::RequestTracker* tracker, int depth)
   }
 }
 
+/** Fraction of @p schedulable that Stage 1 finds definitely late at
+ * @p now: the round-aware planner fits no trajectory into the
+ * request's effective slack (deadline less VAE decode and margin). */
+double
+LateFraction(const core::TetriScheduler& sched,
+             const std::vector<serving::Request*>& schedulable, TimeUs now)
+{
+  const costmodel::LatencyTable& table = F().table;
+  const double tau = static_cast<double>(sched.RoundDurationUs());
+  std::vector<core::RoundDegreeInfo> info;
+  core::AllocationPlan plan;
+  int late = 0;
+  for (const serving::Request* req : schedulable) {
+    const serving::RequestMeta& meta = req->meta;
+    const double budget =
+        static_cast<double>(meta.deadline_us - meta.arrival_us);
+    const double slack = static_cast<double>(meta.deadline_us) -
+                         table.VaeDecodeUs(meta.resolution) -
+                         sched.options().deadline_margin_frac * budget -
+                         static_cast<double>(now);
+    core::BuildRoundDegreeInfo(table, meta.resolution, tau, &info);
+    core::RoundAwarePlanInto(info, req->RemainingSteps(),
+                             std::max(slack, 0.0), tau, &plan);
+    if (!plan.feasible) ++late;
+  }
+  return static_cast<double>(late) /
+         static_cast<double>(schedulable.size());
+}
+
+/** Steady-state Plan() over FillQueue(depth) on 8 GPUs at @p now;
+ * reports the queue's Stage-1 late fraction as `late_frac`. */
 void
-BM_FullPlan(benchmark::State& state)
+RunFullPlan(benchmark::State& state, TimeUs now)
 {
   const int depth = static_cast<int>(state.range(0));
   auto& fixture = F();
@@ -241,20 +273,50 @@ BM_FullPlan(benchmark::State& state)
 
   serving::RequestTracker tracker;
   FillQueue(&tracker, depth);
-  auto schedulable = tracker.Schedulable(0);
+  auto schedulable = tracker.Schedulable(now);
   serving::ScheduleContext ctx;
-  ctx.now = 0;
-  ctx.round_end = sched.RoundDurationUs();
+  ctx.now = now;
+  ctx.round_end = now + sched.RoundDurationUs();
   ctx.free_gpus = cluster::FullMask(8);
   ctx.schedulable = &schedulable;
   ctx.topology = &fixture.topo;
   ctx.table = &fixture.table;
 
+  const double late_frac = LateFraction(sched, schedulable, now);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sched.Plan(ctx));
   }
+  state.counters["late_frac"] = late_frac;
 }
-BENCHMARK(BM_FullPlan)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
+
+void
+BM_FullPlan(benchmark::State& state)
+{
+  RunFullPlan(state, 0);
+}
+BENCHMARK(BM_FullPlan)
+    ->Arg(2)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Arg(4096);
+
+// A hopeless backlog: 2.5 s into the queue's life, ~95% of entries are
+// definitely late at Stage 1, as on replay_burst. Depth 52 is
+// replay_burst's mean queue.
+constexpr TimeUs kLateBacklogNowUs = 2'500'000;
+
+void
+BM_FullPlanLateBacklog(benchmark::State& state)
+{
+  RunFullPlan(state, kLateBacklogNowUs);
+  TETRI_CHECK_MSG(state.counters["late_frac"] >= 0.9,
+                  "late backlog is only " << state.counters["late_frac"]
+                                          << " late");
+}
+BENCHMARK(BM_FullPlanLateBacklog)->Arg(52)->Arg(256)->Arg(1024);
 
 // One dispatch's jittered span, as the engine prices it: a 95 ms step
 // mean and a cv of 0.5%, inside Table 1's profiled range. The exact

@@ -371,8 +371,10 @@ ResolveRoundPlan(PlanStaircase* staircase,
 {
   TETRI_CHECK(staircase != nullptr && staircase->built);
   const auto& thresholds = staircase->thresholds;
-  // Below every breakpoint: plans[0], the definitely-late fallback.
-  // Tested first because an overloaded queue is mostly late.
+  // Below every breakpoint no candidate fits: plans[0], the
+  // definitely-late fallback. TetriScheduler repeats exactly this test
+  // against a copy of thresholds.front() before it calls here, so once
+  // a staircase is built its late requests no longer reach this line.
   if (slack_us < thresholds.front()) return staircase->plans[0];
   const auto it =
       std::upper_bound(thresholds.begin(), thresholds.end(), slack_us);

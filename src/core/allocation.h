@@ -187,7 +187,9 @@ void BuildPlanStaircase(const std::vector<RoundDegreeInfo>& info,
 /**
  * Answer a RoundAwarePlanInto query from a built staircase in
  * O(log candidates), resolving the breakpoint the slack lands in on
- * first use. @p info must be the vector the staircase was built from.
+ * first use. A slack below thresholds.front() returns plans[0], and
+ * only such a slack does. @p info must be the vector the staircase
+ * was built from.
  * Returns exactly the plan RoundAwarePlanInto would produce, in place:
  * the reference stays valid until the staircase is rebuilt.
  */

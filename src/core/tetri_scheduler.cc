@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -38,10 +39,9 @@ TetriScheduler::ApplyConfig()
   TETRI_CHECK(options_.step_granularity >= 1);
   TETRI_CHECK(options_.max_batch >= 1);
   round_us_ = ComputeRoundDuration(*table_, options_.step_granularity);
-  scratch_.step_cache.Bind(table_);
-  // Staircases are keyed by (table, tau); poisoning the tau guard
-  // forces a rebuild on the next round even if tau is unchanged, which
-  // covers a table swap at equal round duration.
+  // Every planner memo is keyed by (table, tau); poisoning the tau
+  // guard forces a rebuild on the next round even if tau is unchanged,
+  // which covers a table swap at equal round duration.
   scratch_.staircase_tau = -1.0;
 }
 
@@ -78,19 +78,6 @@ TetriScheduler::ComputeRoundDuration(const costmodel::LatencyTable& table,
   // Truncation predates the one-rounding-rule lint; switching to
   // RoundUs would move the tau grid and every plan golden with it.
   return static_cast<TimeUs>(step_granularity * ref_step);  // NOLINT(tetri-rounding)
-}
-
-double
-TetriScheduler::EffectiveDeadlineUs(const Request& req) const
-{
-  // VAE decode is sequential after the last step, and a small margin
-  // absorbs jitter plus re-sharding stalls the cost model excludes
-  // from deadline accounting (§5).
-  const double budget =
-      static_cast<double>(req.meta.deadline_us - req.meta.arrival_us);
-  return static_cast<double>(req.meta.deadline_us) -
-         table_->VaeDecodeUs(req.meta.resolution) -
-         options_.deadline_margin_frac * budget;
 }
 
 serving::RoundPlan
@@ -134,17 +121,33 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
 
   const int num_entries = static_cast<int>(ctx.schedulable->size());
 
-  // The memo caches below — staircases, degree info, lower bounds and
-  // step times — are pure functions of (table, tau), so they persist
-  // across rounds. A tau change resets the tau-keyed ones here;
-  // ApplyConfig rebinds the step-time cache and poisons the tau guard,
-  // which covers a table swap at equal tau.
+  // The memo caches below — staircases, late verdicts, degree info,
+  // lower bounds and round cells — are pure functions of (table, tau),
+  // so they persist across rounds. A tau change resets them here;
+  // ApplyConfig poisons the tau guard, which covers a table swap at
+  // equal tau.
   if (scratch_.staircase_tau != tau) {
     for (auto& per_res : scratch_.staircases) {
       for (PlanStaircase& s : per_res) s.built = false;
     }
+    // Late cells point into staircase plans a rebuild may reallocate.
+    for (auto& cells : scratch_.late_cells) cells.clear();
     scratch_.degree_info_ready.fill(false);
     for (auto& memo : scratch_.lb_memo) memo.clear();
+    const std::vector<int>& degrees = table_->degrees();
+    scratch_.cell_degrees = static_cast<int>(degrees.size());
+    scratch_.cell_batches = table_->max_batch();
+    scratch_.round_cells.clear();
+    for (Resolution res : costmodel::kAllResolutions) {
+      for (int di = 0; di < scratch_.cell_degrees; ++di) {
+        TETRI_CHECK(degrees[di] == 1 << di);
+        for (int bs = 1; bs <= scratch_.cell_batches; ++bs) {
+          const double step = table_->StepTimeUs(res, degrees[di], bs);
+          scratch_.round_cells.push_back(
+              RoundCell{step, static_cast<int>(std::floor(tau / step))});
+        }
+      }
+    }
     scratch_.staircase_tau = tau;
   }
 
@@ -157,21 +160,32 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
     }
     return scratch_.degree_info[ri];
   };
-  // Memoized profiled step time. LatencyTable::StepTimeUs interpolates
-  // and validates; the cache collapses the repeated (res, degree,
-  // batch) probes the batching and scale-up stages issue.
-  auto step_time = [&](Resolution res, int degree, int batch) {
-    return scratch_.step_cache.StepTimeUs(res, degree, batch);
-  };
-  auto steps_in_round = [&](Resolution res, int degree) {
-    return static_cast<int>(
-        std::floor(tau / step_time(res, degree, 1)));
+  // Profiled step time of a (resolution, degree, batch) cell and the
+  // whole steps it fits into one round, as one flat-table read. The
+  // checks are those of LatencyTable::StepTimeUs: a profiled
+  // power-of-two degree and a profiled batch.
+  auto round_cell = [&](Resolution res, int degree,
+                        int batch) -> const RoundCell& {
+    TETRI_CHECK(degree >= 1 && std::has_single_bit(
+                                   static_cast<unsigned>(degree)));
+    const int di = std::countr_zero(static_cast<unsigned>(degree));
+    TETRI_CHECK(di < scratch_.cell_degrees);
+    TETRI_CHECK(batch >= 1 && batch <= scratch_.cell_batches);
+    const std::size_t idx =
+        (static_cast<std::size_t>(costmodel::ResolutionIndex(res)) *
+             scratch_.cell_degrees +
+         di) *
+            scratch_.cell_batches +
+        (batch - 1);
+    TETRI_CHECK(idx < scratch_.round_cells.size());
+    return scratch_.round_cells[idx];
   };
   // Stage-1 planner answers via the staircase: candidates are
   // enumerated once per (resolution, remaining steps) and each
   // feasibility breakpoint is scanned once, for as long as tau is
   // stable; every later request with the same key is a binary search
-  // that returns the plan in place.
+  // that returns the plan in place. Building a staircase also records
+  // its late verdict.
   static_assert(std::is_nothrow_move_constructible_v<PlanStaircase>,
                 "entries point into staircase plans across memo growth");
   auto stage1_plan = [&](Resolution res, int rem,
@@ -183,7 +197,12 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
     }
     PlanStaircase& s = per_res[rem];
     const std::vector<RoundDegreeInfo>& info = degree_info(res);
-    if (!s.built) BuildPlanStaircase(info, rem, tau, &s);
+    if (!s.built) {
+      BuildPlanStaircase(info, rem, tau, &s);
+      auto& late = scratch_.late_cells[ri];
+      if (static_cast<int>(late.size()) <= rem) late.resize(rem + 1);
+      late[rem] = LateCell{s.thresholds.front(), &s.plans.front()};
+    }
     return ResolveRoundPlan(&s, info, slack_us);
   };
   auto lower_bound = [&](Resolution res, int steps) {
@@ -203,14 +222,27 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
   if (static_cast<int>(scratch_.entries.size()) < num_entries) {
     scratch_.entries.resize(num_entries);
   }
+  std::array<double, costmodel::kNumResolutions> vae_us;
+  for (Resolution res : costmodel::kAllResolutions) {
+    vae_us[costmodel::ResolutionIndex(res)] = table_->VaeDecodeUs(res);
+  }
+  scratch_.live.clear();
   for (int ei = 0; ei < num_entries; ++ei) {
     Entry& entry = scratch_.entries[ei];
     Request* req = (*ctx.schedulable)[ei];
+    const Resolution res = req->meta.resolution;
+    const int ri = costmodel::ResolutionIndex(res);
     entry.request = req;
-    entry.late = false;
     entry.chosen_degree = 0;
     entry.chosen_steps = 0;
-    entry.deadline_eff_us = EffectiveDeadlineUs(*req);
+    // Effective deadline: VAE decode is sequential after the last
+    // step, and a small margin absorbs jitter plus re-sharding stalls
+    // the cost model excludes from deadline accounting (§5).
+    const double budget =
+        static_cast<double>(req->meta.deadline_us - req->meta.arrival_us);
+    entry.deadline_eff_us = static_cast<double>(req->meta.deadline_us) -
+                            vae_us[ri] -
+                            options_.deadline_margin_frac * budget;
     entry.slack_us = entry.deadline_eff_us - static_cast<double>(ctx.now);
     const int rem = req->RemainingSteps();
     TETRI_CHECK(rem > 0);
@@ -221,8 +253,7 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
       // (resolution, steps) and cannot express a per-request cap, so
       // the direct planner runs over freshly filtered info; uncapped
       // requests are untouched.
-      BuildRoundDegreeInfo(*table_, req->meta.resolution, tau,
-                           &scratch_.capped_info);
+      BuildRoundDegreeInfo(*table_, res, tau, &scratch_.capped_info);
       std::erase_if(scratch_.capped_info,
                     [cap = req->degree_cap](const RoundDegreeInfo& d) {
                       return d.degree > cap;
@@ -231,12 +262,23 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
                          &entry.owned);
       entry.alloc = &entry.owned;
     } else if (options_.use_continuous_planner) {
-      entry.owned = FindPlan(*table_, req->meta.resolution, rem, slack_c);
+      entry.owned = FindPlan(*table_, res, rem, slack_c);
       entry.alloc = &entry.owned;
     } else {
-      entry.alloc = &stage1_plan(req->meta.resolution, rem, slack_c);
+      // Late verdict: ResolveRoundPlan returns the fallback plans[0]
+      // exactly when the slack is below the staircase's lowest
+      // breakpoint, so one compare against that breakpoint answers a
+      // definitely-late request without the lookup.
+      const std::vector<LateCell>& late = scratch_.late_cells[ri];
+      if (rem < static_cast<int>(late.size()) &&
+          slack_c < late[rem].min_slack_us) {
+        entry.alloc = late[rem].fallback;
+      } else {
+        entry.alloc = &stage1_plan(res, rem, slack_c);
+      }
     }
     entry.late = !entry.alloc->feasible;
+    if (!entry.late) scratch_.live.push_back(ei);
     if (trace_ != nullptr) {
       if (req->degree_cap > 0) {
         trace::TraceEvent ev;
@@ -269,9 +311,8 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
   // their deadlines.
   {
     scratch_.edf.clear();
-    for (int ei = 0; ei < num_entries; ++ei) {
-      Entry& entry = scratch_.entries[ei];
-      if (!entry.late) scratch_.edf.push_back(&entry);
+    for (int ei : scratch_.live) {
+      scratch_.edf.push_back(&scratch_.entries[ei]);
     }
     // The scan needs *effective*-deadline order. Arrival/raw-deadline
     // order (the schedulable order) is not that: VAE decode time and
@@ -318,9 +359,9 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
   // ---- Stage 2: round packing DP (Algorithm 1) ----
   scratch_.group_entry.clear();
   int num_groups = 0;
-  for (int ei = 0; ei < num_entries; ++ei) {
+  for (int ei : scratch_.live) {
     Entry& entry = scratch_.entries[ei];
-    if (entry.late) continue;
+    if (entry.late) continue;  // demoted by Stage 1.5
     const Request& req = *entry.request;
     const Resolution res = req.meta.resolution;
     const int rem = req.RemainingSteps();
@@ -351,7 +392,8 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
       // The plan is recomputed from scratch every round, so an option
       // may run more steps at its degree than the segment nominally
       // holds; only the remaining step count caps it.
-      const int q = std::min(rem, steps_in_round(res, seg.degree));
+      const int q =
+          std::min(rem, round_cell(res, seg.degree, 1).steps_per_round);
       if (q <= 0) continue;  // discard q == 0 options (Algorithm 1)
       packers::PackOption opt;
       opt.degree = seg.degree;
@@ -364,29 +406,6 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
     }
     ++num_groups;
     scratch_.group_entry.push_back(ei);
-  }
-
-  packers::PackRoundInto(scratch_.groups.data(), num_groups, capacity,
-                         &scratch_.pack, &scratch_.packed);
-  const packers::PackResult& packed = scratch_.packed;
-  for (int gi = 0; gi < num_groups; ++gi) {
-    if (packed.choice[gi] < 0) continue;
-    const packers::PackOption& opt =
-        scratch_.groups[gi].options[packed.choice[gi]];
-    Entry& entry = scratch_.entries[scratch_.group_entry[gi]];
-    entry.chosen_degree = opt.degree;
-    entry.chosen_steps = opt.steps;
-    if (trace_ != nullptr) {
-      trace::TraceEvent ev;
-      ev.kind = trace::TraceEventKind::kPlanChoice;
-      ev.reason = trace::TraceReason::kPacked;
-      ev.request = entry.request->meta.id;
-      ev.degree = opt.degree;
-      ev.steps = opt.steps;
-      ev.batch = 1;
-      ev.value = entry.slack_us;
-      emit(ev);
-    }
   }
 
   // Working assignments before placement, in reusable slots.
@@ -407,11 +426,29 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
     p.best_effort = best_effort;
     used_gpus += degree;
   };
-  for (int ei = 0; ei < num_entries; ++ei) {
-    Entry& entry = scratch_.entries[ei];
-    if (entry.chosen_degree == 0) continue;
-    append_pending(&entry, entry.chosen_degree, entry.chosen_steps,
-                   /*best_effort=*/false);
+
+  packers::PackRoundInto(scratch_.groups.data(), num_groups, capacity,
+                         &scratch_.pack, &scratch_.packed);
+  const packers::PackResult& packed = scratch_.packed;
+  for (int gi = 0; gi < num_groups; ++gi) {
+    if (packed.choice[gi] < 0) continue;
+    const packers::PackOption& opt =
+        scratch_.groups[gi].options[packed.choice[gi]];
+    Entry& entry = scratch_.entries[scratch_.group_entry[gi]];
+    entry.chosen_degree = opt.degree;
+    entry.chosen_steps = opt.steps;
+    append_pending(&entry, opt.degree, opt.steps, /*best_effort=*/false);
+    if (trace_ != nullptr) {
+      trace::TraceEvent ev;
+      ev.kind = trace::TraceEventKind::kPlanChoice;
+      ev.reason = trace::TraceReason::kPacked;
+      ev.request = entry.request->meta.id;
+      ev.degree = opt.degree;
+      ev.steps = opt.steps;
+      ev.batch = 1;
+      ev.value = entry.slack_us;
+      emit(ev);
+    }
   }
 
   // ---- Stage 4: best-effort lane for definitely-late requests ----
@@ -421,7 +458,8 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
     if (used_gpus >= capacity) break;
     const Resolution res = entry.request->meta.resolution;
     const int rem = entry.request->RemainingSteps();
-    const int steps = std::clamp(steps_in_round(res, 1), 1, rem);
+    const int steps =
+        std::clamp(round_cell(res, 1, 1).steps_per_round, 1, rem);
     append_pending(&entry, 1, steps, /*best_effort=*/true);
     entry.chosen_degree = 1;
     entry.chosen_steps = steps;
@@ -466,8 +504,9 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
       if (new_bs > std::min(options_.max_batch, table_->max_batch())) {
         continue;
       }
-      const double t_batched = step_time(res, host.degree, new_bs);
-      const int q_round = static_cast<int>(std::floor(tau / t_batched));
+      const RoundCell& batched = round_cell(res, host.degree, new_bs);
+      const double t_batched = batched.step_us;
+      const int q_round = batched.steps_per_round;
       int q = q_round;
       for (const Entry* member : host.members) {
         q = std::min(q, member->request->RemainingSteps());
@@ -520,8 +559,9 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
       if (options_.elastic_scale_up && free > 0) {
         for (const AllocationSegment& seg : entry.alloc->segments) {
           if (seg.degree > free) continue;
-          const int q = std::clamp(steps_in_round(res, seg.degree), 1,
-                                   std::min(seg.steps, rem));
+          const int q =
+              std::clamp(round_cell(res, seg.degree, 1).steps_per_round,
+                         1, std::min(seg.steps, rem));
           append_pending(&entry, seg.degree, q, /*best_effort=*/false);
           entry.chosen_degree = seg.degree;
           entry.chosen_steps = q;
@@ -566,10 +606,11 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
         if (p.degree > free) continue;  // needs p.degree extra GPUs
         const Resolution res = p.members.front()->request->meta.resolution;
         const int bs = static_cast<int>(p.members.size());
-        const double t_old = step_time(res, p.degree, bs);
-        const double t_new = step_time(res, next_degree, bs);
+        const double t_old = round_cell(res, p.degree, bs).step_us;
+        const RoundCell& scaled = round_cell(res, next_degree, bs);
+        const double t_new = scaled.step_us;
         if (t_new >= t_old) continue;  // must actually benefit
-        int q = static_cast<int>(std::floor(tau / t_new));
+        int q = scaled.steps_per_round;
         for (const Entry* member : p.members) {
           q = std::min(q, member->request->RemainingSteps());
         }
@@ -657,8 +698,7 @@ TetriScheduler::PlanInto(const serving::ScheduleContext& ctx,
       } else {
         // Intermediate rollback degree: recompute the round's step
         // budget the way Stage 5c would have at this degree.
-        int q = static_cast<int>(
-            std::floor(tau / step_time(res, p.degree, bs)));
+        int q = round_cell(res, p.degree, bs).steps_per_round;
         for (const Entry* member : p.members) {
           q = std::min(q, member->request->RemainingSteps());
         }

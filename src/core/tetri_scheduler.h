@@ -23,11 +23,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/allocation.h"
-#include "costmodel/step_time_cache.h"
 #include "packers/dp_packer.h"
 #include "serving/scheduler.h"
 
@@ -145,7 +145,7 @@ class TetriScheduler : public serving::Scheduler {
      * across rounds.
      */
     AllocationPlan owned;
-    double deadline_eff_us = 0.0;  // EffectiveDeadlineUs, once per round
+    double deadline_eff_us = 0.0;  // effective deadline, once per round
     double slack_us = 0.0;         // deadline_eff_us - now
     bool late = false;       // definitely late already
     int chosen_degree = 0;   // 0 = not selected
@@ -168,17 +168,36 @@ class TetriScheduler : public serving::Scheduler {
     bool best_effort = false;
   };
 
+  /** One (resolution, degree, batch) cell of the round-cell table. */
+  struct RoundCell {
+    double step_us = 0.0;     // profiled mean step time
+    int steps_per_round = 0;  // floor(tau / step_us)
+  };
+
+  /**
+   * Stage-1 late verdict of one (resolution, remaining steps) key: its
+   * staircase's lowest breakpoint and definitely-late fallback. A key
+   * whose staircase is not built yet holds -inf, which no clamped
+   * slack is below, so its lookup falls through and builds it.
+   */
+  struct LateCell {
+    double min_slack_us = -std::numeric_limits<double>::infinity();
+    const AllocationPlan* fallback = nullptr;  // &staircase.plans[0]
+  };
+
   /**
    * Reusable planning arena (§4.2.2 "cheap enough to rerun every
-   * round" made literal): entry/group/pending buffers,
-   * per-resolution round degree info, the memoized step-time cache
-   * and the Stage-2 DP arena. Buffers only grow;
+   * round" made literal): entry/group/pending buffers, the (table,
+   * tau)-keyed memos and the Stage-2 DP arena. Buffers only grow;
    * once the queue-depth high-water mark is reached, a Plan() call
    * performs no heap allocation beyond the emitted RoundPlan itself,
    * and a PlanInto() call into the previous round's plan none at all.
    */
   struct PlanScratch {
     std::vector<Entry> entries;
+    // Entries Stage 1 did not find definitely late, in schedulable
+    // order: the only ones Stages 1.5 and 2 visit.
+    std::vector<int> live;
     std::vector<packers::PackGroup> groups;  // active prefix: num_groups
     std::vector<int> group_entry;   // group index -> entry index
     std::vector<Pending> pendings;  // active prefix: num_pendings
@@ -207,7 +226,17 @@ class TetriScheduler : public serving::Scheduler {
     // change the round window between Plan() calls.
     std::array<std::vector<PlanStaircase>, costmodel::kNumResolutions>
         staircases;
+    // Late verdicts, [resolution][remaining steps], filled as each
+    // staircase is built: a definitely-late request costs one compare.
+    std::array<std::vector<LateCell>, costmodel::kNumResolutions>
+        late_cells;
     double staircase_tau = -1.0;
+    // Round-cell table, [resolution][log2 degree][batch - 1] over the
+    // table's degrees and batches, filled whenever tau or the table
+    // changes.
+    std::vector<RoundCell> round_cells;
+    int cell_degrees = 0;
+    int cell_batches = 0;
     // Degree info filtered to a request's degree_cap (degraded-SP
     // failure retries). Per-request, so it cannot share the
     // per-resolution cache or the staircase; rebuilt on demand for the
@@ -215,13 +244,10 @@ class TetriScheduler : public serving::Scheduler {
     std::vector<RoundDegreeInfo> capped_info;
     packers::PackScratch pack;
     packers::PackResult packed;
-    costmodel::StepTimeCache step_cache;
     // Request-id buffers recycled from the plan PlanInto refills; each
     // holds at least max_batch ids, enough for any assignment.
     std::vector<std::vector<RequestId>> request_buffers;
   };
-
-  double EffectiveDeadlineUs(const serving::Request& req) const;
 
   /** Shared construction/Reconfigure validation and cache rebinding. */
   void ApplyConfig();

@@ -17,8 +17,9 @@
  * JitterCv depends only on (resolution, degree) and is precomputed
  * for every cell at construction.
  *
- * This is not StepTimeCache: that one fronts the *profiled*
- * LatencyTable the planner reads, keyed by degree alone.
+ * This is not the planner's round-cell table: that one copies the
+ * *profiled* LatencyTable cells TetriScheduler reads, keyed by
+ * degree alone.
  */
 #ifndef TETRI_COSTMODEL_PLACEMENT_PRICE_H
 #define TETRI_COSTMODEL_PLACEMENT_PRICE_H

@@ -54,20 +54,26 @@ PackRoundInto(const PackGroup* groups, int num_groups, int capacity,
 
   // Row 0: only the zero-width state is reachable. Values live in two
   // rolling rows; only the parent tables span every group.
-  {
-    int* sv = scratch->survivors[0].data();
-    double* wk = scratch->work[0].data();
-    int* wd = scratch->width[0].data();
-    for (int c = 0; c < row; ++c) {
-      sv[c] = -1;
-      wk[c] = 0.0;
-      wd[c] = 0;
-    }
-    sv[0] = 0;
-  }
+  scratch->survivors[0][0] = 0;
+  scratch->work[0][0] = 0.0;
+  scratch->width[0][0] = 0;
 
+  // States wider than `reach` are unreachable after group i: its
+  // widest option adds at most that many GPUs to the widest state of
+  // row i. Each row is written and scanned only up to its reach, so
+  // cells above it may hold a previous call's values and are never
+  // read.
+  int reach = 0;
   for (int i = 0; i < num_groups; ++i) {
     const PackGroup& group = groups[i];
+    const int num_options = static_cast<int>(group.options.size());
+    int widest = 0;
+    for (const PackOption& opt : group.options) {
+      TETRI_CHECK(opt.degree >= 1 && opt.steps >= 1);
+      widest = std::max(widest, opt.degree);
+    }
+    const int cur_reach = reach;
+    reach = std::min(capacity, cur_reach + widest);
     const int* cur_sv = scratch->survivors[i & 1].data();
     const double* cur_wk = scratch->work[i & 1].data();
     const int* cur_wd = scratch->width[i & 1].data();
@@ -78,7 +84,7 @@ PackRoundInto(const PackGroup* groups, int num_groups, int capacity,
                static_cast<std::size_t>(i + 1) * row;
     int* par_c = scratch->parent_c.data() +
                  static_cast<std::size_t>(i + 1) * row;
-    for (int c = 0; c < row; ++c) {
+    for (int c = 0; c <= reach; ++c) {
       nxt_sv[c] = -1;
       nxt_wk[c] = 0.0;
       nxt_wd[c] = 0;
@@ -86,7 +92,7 @@ PackRoundInto(const PackGroup* groups, int num_groups, int capacity,
       par_c[c] = -1;
     }
     const int idle_bonus = group.survives_if_idle ? 1 : 0;
-    for (int c = 0; c < row; ++c) {
+    for (int c = 0; c <= cur_reach; ++c) {
       if (cur_sv[c] < 0) continue;
       // Option `none`.
       {
@@ -101,10 +107,8 @@ PackRoundInto(const PackGroup* groups, int num_groups, int capacity,
         }
       }
       // Concrete allocations.
-      for (int oi = 0; oi < static_cast<int>(group.options.size());
-           ++oi) {
+      for (int oi = 0; oi < num_options; ++oi) {
         const PackOption& opt = group.options[oi];
-        TETRI_CHECK(opt.degree >= 1 && opt.steps >= 1);
         const int nc = c + opt.degree;
         if (nc > capacity) continue;
         const int cand_sv = cur_sv[c] + (opt.survives ? 1 : 0);
@@ -122,12 +126,12 @@ PackRoundInto(const PackGroup* groups, int num_groups, int capacity,
     }
   }
 
-  // Pick the best final state over all capacities.
+  // Pick the best final state over all reachable widths.
   const int* fin_sv = scratch->survivors[num_groups & 1].data();
   const double* fin_wk = scratch->work[num_groups & 1].data();
   const int* fin_wd = scratch->width[num_groups & 1].data();
   int best_c = 0;
-  for (int c = 1; c < row; ++c) {
+  for (int c = 1; c <= reach; ++c) {
     if (fin_sv[c] >= 0 &&
         PackValueBetter(fin_sv[c], fin_wk[c], fin_wd[c], fin_sv[best_c],
                         fin_wk[best_c], fin_wd[best_c])) {

@@ -86,7 +86,8 @@ struct PackScratch {
   void Reserve(int num_groups, int capacity);
 
   // Rolling value rows, (capacity + 1) entries each (structure of
-  // arrays: reachability is survivors >= 0).
+  // arrays: reachability is survivors >= 0; cells above the row's
+  // reach are stale).
   std::vector<int> survivors[2];
   std::vector<double> work[2];
   std::vector<int> width[2];
@@ -99,8 +100,11 @@ struct PackScratch {
  * Solve the per-round group knapsack over the first @p num_groups
  * entries of @p groups (a reusable buffer may hold stale tails) and
  * @p capacity GPUs, writing the chosen option per group into
- * @p result and reusing its choice-vector capacity.
- * O(R * capacity * max|options|) time, O(R * capacity) space.
+ * @p result and reusing its choice-vector capacity. Row i is written
+ * and scanned only up to its reach, min(capacity, sum of the widest
+ * option of groups 0..i), so a shallow or narrow call leaves the
+ * arena's wider cells stale and never reads them.
+ * O(R * reach * max|options|) time, O(R * capacity) space.
  */
 void PackRoundInto(const PackGroup* groups, int num_groups, int capacity,
                    PackScratch* scratch, PackResult* result);

@@ -12,7 +12,6 @@
 #include "util/stats.h"
 #include "costmodel/model_config.h"
 #include "costmodel/step_cost.h"
-#include "costmodel/step_time_cache.h"
 
 namespace tetri::costmodel {
 using tetri::RunningStat;
@@ -269,43 +268,6 @@ TEST_F(LatencyTableTest, CsvContainsEveryCell)
   for (Resolution res : kAllResolutions) {
     EXPECT_NE(csv.find(ResolutionName(res)), std::string::npos);
   }
-}
-
-/** Every cell of @p cache equals the cell of @p table it fronts. */
-void
-ExpectCacheMatchesTable(StepTimeCache* cache, const LatencyTable& table)
-{
-  for (Resolution res : kAllResolutions) {
-    for (int k : table.degrees()) {
-      for (int bs = 1; bs <= table.max_batch(); ++bs) {
-        // Twice: the first probe fills the slot, the second reads it.
-        EXPECT_EQ(cache->StepTimeUs(res, k, bs), table.StepTimeUs(res, k, bs))
-            << ResolutionName(res) << " sp" << k << " bs" << bs;
-        EXPECT_EQ(cache->StepTimeUs(res, k, bs), table.StepTimeUs(res, k, bs))
-            << ResolutionName(res) << " sp" << k << " bs" << bs;
-      }
-    }
-  }
-}
-
-TEST_F(LatencyTableTest, StepTimeCacheFrontsItsBoundTable)
-{
-  StepTimeCache cache(&table_);
-  EXPECT_EQ(cache.table(), &table_);
-  ExpectCacheMatchesTable(&cache, table_);
-
-  // A re-Bind drops every value of the first table: a warm cache now
-  // answers with the cells of the second table (smaller batch, other
-  // seed), which differ from the first table's.
-  const LatencyTable other = LatencyTable::Profile(cost_, 3, 60, 6);
-  ASSERT_NE(other.StepTimeUs(Resolution::k1024, 2),
-            table_.StepTimeUs(Resolution::k1024, 2));
-  cache.Bind(&other);
-  EXPECT_EQ(cache.table(), &other);
-  ExpectCacheMatchesTable(&cache, other);
-
-  cache.Bind(&table_);
-  ExpectCacheMatchesTable(&cache, table_);
 }
 
 /** Every SP degree is a power of two: the table has no cell for degree

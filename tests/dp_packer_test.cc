@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "oracle/packing.h"
 #include "packers/dp_packer.h"
@@ -157,6 +158,79 @@ TEST(PackRoundTest, ZeroCapacityRunsNothing)
       {MakeGroup(0, false, {{1, 1, true, 1.0}})}, 0);
   EXPECT_EQ(result.choice[0], -1);
   EXPECT_EQ(result.survivors, 0);
+}
+
+/** A random instance of @p num_groups groups with degrees up to
+ * 2^(@p degree_bits - 1). */
+std::vector<PackGroup>
+RandomGroups(Rng* rng, int num_groups, int degree_bits)
+{
+  std::vector<PackGroup> groups;
+  for (int g = 0; g < num_groups; ++g) {
+    PackGroup group;
+    group.id = g;
+    group.survives_if_idle = rng->NextDouble() < 0.5;
+    const int num_options = static_cast<int>(rng->NextBelow(4));
+    for (int o = 0; o < num_options; ++o) {
+      PackOption opt;
+      opt.degree = 1 << rng->NextBelow(degree_bits);
+      opt.steps = 1 + static_cast<int>(rng->NextBelow(10));
+      opt.survives = rng->NextDouble() < 0.7;
+      opt.work = rng->NextDouble();
+      group.options.push_back(opt);
+    }
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+void
+ExpectSameResult(const PackResult& got, const PackResult& want)
+{
+  EXPECT_EQ(got.choice, want.choice);
+  EXPECT_EQ(got.survivors, want.survivors);
+  EXPECT_EQ(got.gpus_used, want.gpus_used);
+  EXPECT_EQ(got.running, want.running);
+  EXPECT_EQ(got.work, want.work);  // bit-for-bit
+}
+
+TEST(PackRoundTest, ReusedScratchMatchesFreshScratch)
+{
+  // Each call writes its rows only up to their reach, so after a wide,
+  // deep call the arena's upper cells hold stale values. Alternate
+  // wide/deep calls with narrow/shallow ones and with capacities far
+  // above the widths' sum; the reused arena must answer exactly as a
+  // fresh one and as the full-row reference.
+  Rng rng(29);
+  PackScratch scratch;
+  PackResult reused;
+  for (int call = 0; call < 300; ++call) {
+    int num_groups = 0;
+    int capacity = 0;
+    int degree_bits = 0;
+    switch (call % 3) {
+      case 0:  // wide and deep
+        num_groups = 8 + static_cast<int>(rng.NextBelow(9));
+        capacity = 16 + static_cast<int>(rng.NextBelow(17));
+        degree_bits = 6;
+        break;
+      case 1:  // narrow and shallow
+        num_groups = static_cast<int>(rng.NextBelow(4));
+        capacity = 1 + static_cast<int>(rng.NextBelow(8));
+        degree_bits = 3;
+        break;
+      default:  // capacity far above the sum of widths
+        num_groups = 1 + static_cast<int>(rng.NextBelow(6));
+        capacity = 200 + static_cast<int>(rng.NextBelow(800));
+        degree_bits = 4;
+        break;
+    }
+    const auto groups = RandomGroups(&rng, num_groups, degree_bits);
+    SCOPED_TRACE("call " + std::to_string(call));
+    PackRoundInto(groups.data(), num_groups, capacity, &scratch, &reused);
+    ExpectSameResult(reused, Pack(groups, capacity));
+    ExpectSameResult(reused, PackRoundReference(groups, capacity));
+  }
 }
 
 /** Property sweep: DP equals exhaustive search on random instances. */

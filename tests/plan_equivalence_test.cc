@@ -6,7 +6,9 @@
  *    (table, tau) memo caches carry across rounds, must emit the same
  *    RoundPlan as a TetriScheduler built fresh for every call on the
  *    same randomized contexts. Any memo or buffer-reuse bug shows up
- *    as a concrete mismatched assignment.
+ *    as a concrete mismatched assignment. Its late-heavy case runs
+ *    deep, mostly-late queues with degree-capped retries, traced and
+ *    untraced.
  *  - EndToEndEquivalence: full serving runs on mixed FLUX.1-dev and
  *    SD3-Medium traces are diffed, aggregate for aggregate and
  *    timeline row for timeline row, against
@@ -35,6 +37,7 @@
 #include "costmodel/model_config.h"
 #include "serving/request_tracker.h"
 #include "serving/system.h"
+#include "trace/trace.h"
 
 namespace tetri::core {
 namespace {
@@ -125,6 +128,102 @@ TEST_P(PlanEquivalenceSweep, FastPathMatchesReference)
 
     // Advance request state a little so later rounds see different
     // queues (mimic partial execution without running the engine).
+    for (Request* req : schedulable) {
+      if (rng.NextDouble() < 0.4 && req->RemainingSteps() > 1) {
+        req->steps_done += 1;
+      }
+    }
+  }
+}
+
+/** The events of @p sink with their round ordinals cleared, so a warm
+ * scheduler's round can be compared with a fresh scheduler's first. */
+std::vector<trace::TraceEvent>
+EventsAnyRound(const trace::RingBufferSink& sink)
+{
+  std::vector<trace::TraceEvent> events = sink.events();
+  for (trace::TraceEvent& ev : events) ev.round = 0;
+  return events;
+}
+
+/**
+ * Late-heavy sweep: queues up to 512 deep, `now` past most effective
+ * deadlines and some degree-capped retries, so Stage 1 answers most
+ * entries with its late verdict while the staircases it compares
+ * against are partly warm. A warm scheduler must match a fresh one; a
+ * recording sink must change neither plan, and the warm traced
+ * scheduler must emit the fresh traced scheduler's events.
+ */
+TEST_P(PlanEquivalenceSweep, LateHeavyBacklogMatchesFresh)
+{
+  auto [seed, model_idx] = GetParam();
+  auto model =
+      model_idx == 0 ? ModelConfig::FluxDev() : ModelConfig::Sd3Medium();
+  auto topo = Topology::H100Node();
+  costmodel::StepCostModel cost(&model, &topo);
+  auto table = LatencyTable::Profile(cost, 4, 20, 5);
+
+  TetriScheduler warm(&table);
+  TetriScheduler warm_traced(&table);
+  trace::RingBufferSink warm_sink;
+  warm_traced.set_trace(&warm_sink);
+
+  Rng rng(1000 + seed);
+  RequestTracker tracker;
+  const int num_requests = 1 + static_cast<int>(rng.NextBelow(512));
+  const TimeUs base_now = 20000000;
+  for (RequestId id = 0; id < num_requests; ++id) {
+    workload::TraceRequest meta;
+    meta.id = id;
+    meta.resolution = costmodel::ResolutionFromIndex(
+        static_cast<int>(rng.NextBelow(4)));
+    // Ages up to 12 s against 1.5-5 s base budgets: most deadlines are
+    // behind `now` or too close for the fastest remaining trajectory.
+    meta.arrival_us =
+        base_now - static_cast<TimeUs>(rng.NextBelow(12000000));
+    meta.deadline_us =
+        meta.arrival_us +
+        static_cast<TimeUs>(
+            workload::SloPolicy::BaseTargetSec(meta.resolution) * 1e6 *
+            rng.NextRange(0.7, 1.7));
+    meta.num_steps = 50;
+    Request& req = tracker.Admit(meta);
+    req.steps_done = static_cast<int>(rng.NextBelow(49));
+    if (rng.NextDouble() < 0.5) {
+      req.last_degree = 1 << rng.NextBelow(4);
+      req.last_mask = cluster::FullMask(req.last_degree)
+                      << rng.NextBelow(4);
+    }
+    if (rng.NextDouble() < 0.1) req.degree_cap = 1 << rng.NextBelow(3);
+  }
+
+  for (int round = 0; round < 3; ++round) {
+    const TimeUs now = base_now + round * warm.RoundDurationUs();
+    auto schedulable = tracker.Schedulable(now);
+    if (schedulable.empty()) break;
+    ScheduleContext ctx;
+    ctx.now = now;
+    ctx.round_end = now + warm.RoundDurationUs();
+    ctx.free_gpus =
+        cluster::FullMask(1 + static_cast<int>(rng.NextBelow(8)));
+    ctx.schedulable = &schedulable;
+    ctx.topology = &topo;
+    ctx.table = &table;
+
+    TetriScheduler fresh(&table);
+    TetriScheduler fresh_traced(&table);
+    trace::RingBufferSink fresh_sink;
+    fresh_traced.set_trace(&fresh_sink);
+    warm_sink.Clear();
+
+    const serving::RoundPlan want = fresh.Plan(ctx);
+    ExpectPlansIdentical(warm.Plan(ctx), want);
+    ExpectPlansIdentical(warm_traced.Plan(ctx), want);
+    ExpectPlansIdentical(fresh_traced.Plan(ctx), want);
+    ASSERT_EQ(warm_sink.dropped(), 0u);
+    ASSERT_EQ(fresh_sink.dropped(), 0u);
+    EXPECT_EQ(EventsAnyRound(warm_sink), EventsAnyRound(fresh_sink));
+
     for (Request* req : schedulable) {
       if (rng.NextDouble() < 0.4 && req->RemainingSteps() > 1) {
         req->steps_done += 1;
