@@ -7,6 +7,15 @@
 
 namespace tetri::audit {
 
+Checker::Checker(std::initializer_list<TraceEventKind> kinds)
+{
+  static_assert(static_cast<std::size_t>(TraceEventKind::kRunEnd) < 64,
+                "a checker's kinds must fit one 64-bit set");
+  for (TraceEventKind kind : kinds) {
+    kinds_ |= std::uint64_t{1} << static_cast<unsigned>(kind);
+  }
+}
+
 void
 Checker::Report(TimeUs time_us, std::string message)
 {
@@ -24,6 +33,9 @@ Auditor::AddChecker(std::unique_ptr<Checker> checker)
 {
   TETRI_CHECK(checker != nullptr);
   checker->owner_ = this;
+  for (std::size_t k = 0; k < kNumKinds; ++k) {
+    if ((checker->kinds_ >> k) & 1u) readers_[k].push_back(checker.get());
+  }
   checkers_.push_back(std::move(checker));
   return *checkers_.back();
 }
@@ -54,87 +66,11 @@ Auditor::Summary() const
 }
 
 void
-Auditor::OnEventScheduled(TimeUs now, TimeUs at)
+Auditor::OnEvent(const TraceEvent& event)
 {
-  for (auto& c : checkers_) c->OnEventScheduled(now, at);
-}
-
-void
-Auditor::OnEventFired(TimeUs prev, TimeUs now)
-{
-  for (auto& c : checkers_) c->OnEventFired(prev, now);
-}
-
-void
-Auditor::OnRoundPlan(const RoundAudit& round)
-{
-  for (auto& c : checkers_) c->OnRoundPlan(round);
-}
-
-void
-Auditor::OnDispatch(const DispatchAudit& dispatch)
-{
-  for (auto& c : checkers_) c->OnDispatch(dispatch);
-}
-
-void
-Auditor::OnAssignmentComplete(const CompleteAudit& complete)
-{
-  for (auto& c : checkers_) c->OnAssignmentComplete(complete);
-}
-
-void
-Auditor::OnAssignmentAborted(const CompleteAudit& aborted)
-{
-  for (auto& c : checkers_) c->OnAssignmentAborted(aborted);
-}
-
-void
-Auditor::OnGpuFailed(GpuMask mask, TimeUs now)
-{
-  for (auto& c : checkers_) c->OnGpuFailed(mask, now);
-}
-
-void
-Auditor::OnGpuRecovered(GpuMask mask, TimeUs now)
-{
-  for (auto& c : checkers_) c->OnGpuRecovered(mask, now);
-}
-
-void
-Auditor::OnRunEnd(TimeUs now)
-{
-  for (auto& c : checkers_) c->OnRunEnd(now);
-}
-
-void
-Auditor::OnRequestAdmitted(RequestId id, TimeUs arrival_us,
-                           TimeUs deadline_us, int num_steps)
-{
-  for (auto& c : checkers_) {
-    c->OnRequestAdmitted(id, arrival_us, deadline_us, num_steps);
+  for (Checker* c : readers_[static_cast<std::size_t>(event.kind)]) {
+    c->OnEvent(event);
   }
-}
-
-void
-Auditor::OnRequestTransition(RequestId id, int from_state, int to_state,
-                             TimeUs now)
-{
-  for (auto& c : checkers_) {
-    c->OnRequestTransition(id, from_state, to_state, now);
-  }
-}
-
-void
-Auditor::OnLatentAssign(RequestId id, GpuMask mask, TimeUs now)
-{
-  for (auto& c : checkers_) c->OnLatentAssign(id, mask, now);
-}
-
-void
-Auditor::OnLatentRelease(RequestId id, TimeUs now)
-{
-  for (auto& c : checkers_) c->OnLatentRelease(id, now);
 }
 
 }  // namespace tetri::audit

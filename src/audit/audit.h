@@ -1,28 +1,36 @@
 /**
  * @file
  * The audit core: structured violation reports, the Checker base
- * class, and the Auditor that fans runtime notifications out to every
+ * class, and the Auditor that fans the run's trace events out to every
  * registered checker.
  *
- * Checkers are pluggable AuditSink implementations that validate one
- * scheduler/runtime invariant each and *report* violations instead of
- * aborting — unlike TETRI_CHECK, which is the always-on last line of
- * defence, the audit layer accumulates evidence so a run can surface
- * every broken invariant at once. Each hook is O(1) amortized in the
- * number of runtime events. Concrete checkers live in checkers.h.
+ * Checkers are trace::TraceSinks that validate one scheduler/runtime
+ * invariant each from the event stream and *report* violations
+ * instead of aborting — unlike TETRI_CHECK, which is the always-on
+ * last line of defence, the audit layer accumulates evidence so a run
+ * can surface every broken invariant at once. A checker names the
+ * event kinds it reads; the Auditor hands it only those, so a kind no
+ * checker reads (kStep, kPlanChoice, ...) costs one table lookup. Each
+ * event is O(1) amortized per checker. Concrete checkers live in
+ * checkers.h.
  */
 #ifndef TETRI_AUDIT_AUDIT_H
 #define TETRI_AUDIT_AUDIT_H
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "audit/sink.h"
+#include "trace/sink.h"
 
 namespace tetri::audit {
+
+using trace::TraceEvent;
+using trace::TraceEventKind;
 
 class Auditor;
 
@@ -36,27 +44,33 @@ struct Violation {
 };
 
 /** Base class for invariant checkers. */
-class Checker : public AuditSink {
+class Checker : public trace::TraceSink {
  public:
   /** Stable identifier used in reports, e.g. "gpu-conservation". */
   virtual std::string_view name() const = 0;
 
  protected:
+  /** @p kinds: the events OnEvent is called with. */
+  explicit Checker(std::initializer_list<TraceEventKind> kinds);
+
   /** Record a violation with the owning auditor. */
   void Report(TimeUs time_us, std::string message);
 
  private:
   friend class Auditor;
   Auditor* owner_ = nullptr;
+  /** The kinds this checker reads, one bit per TraceEventKind. */
+  std::uint64_t kinds_ = 0;
 };
 
 /**
- * Owns a set of checkers and fans every notification out to them.
- * Violations are accumulated centrally: the first kMaxStored are kept
- * verbatim, the rest only counted, so a hot loop that trips an
- * invariant cannot blow up memory.
+ * Owns a set of checkers and routes every event to the ones that read
+ * its kind. Violations are accumulated centrally: the first kMaxStored
+ * are kept verbatim, the rest only counted, so a hot loop that trips
+ * an invariant cannot blow up memory. Not thread-safe: a concurrent
+ * emitter reaches it through a trace::Tracer, which serialises.
  */
-class Auditor final : public AuditSink {
+class Auditor final : public trace::TraceSink {
  public:
   static constexpr std::size_t kMaxStored = 256;
 
@@ -81,25 +95,16 @@ class Auditor final : public AuditSink {
   /** Record a violation directly (checkers call this via Report). */
   void Record(Violation violation);
 
-  // AuditSink: fan out to every registered checker.
-  void OnEventScheduled(TimeUs now, TimeUs at) override;
-  void OnEventFired(TimeUs prev, TimeUs now) override;
-  void OnRoundPlan(const RoundAudit& round) override;
-  void OnDispatch(const DispatchAudit& dispatch) override;
-  void OnAssignmentComplete(const CompleteAudit& complete) override;
-  void OnAssignmentAborted(const CompleteAudit& aborted) override;
-  void OnGpuFailed(GpuMask mask, TimeUs now) override;
-  void OnGpuRecovered(GpuMask mask, TimeUs now) override;
-  void OnRunEnd(TimeUs now) override;
-  void OnRequestAdmitted(RequestId id, TimeUs arrival_us,
-                         TimeUs deadline_us, int num_steps) override;
-  void OnRequestTransition(RequestId id, int from_state, int to_state,
-                           TimeUs now) override;
-  void OnLatentAssign(RequestId id, GpuMask mask, TimeUs now) override;
-  void OnLatentRelease(RequestId id, TimeUs now) override;
+  /** Hand @p event to every checker that reads its kind. */
+  void OnEvent(const TraceEvent& event) override;
 
  private:
+  static constexpr std::size_t kNumKinds =
+      static_cast<std::size_t>(TraceEventKind::kRunEnd) + 1;
+
   std::vector<std::unique_ptr<Checker>> checkers_;
+  /** Per kind, the checkers that read it, in registration order. */
+  std::array<std::vector<Checker*>, kNumKinds> readers_;
   std::vector<Violation> violations_;
   std::uint64_t total_ = 0;
 };

@@ -59,122 +59,130 @@ SortedIds(const IdTable<bool>& table, bool value)
 
 // --- EventTimeMonotonicityChecker ---
 
-void
-EventTimeMonotonicityChecker::OnEventScheduled(TimeUs now, TimeUs at)
+EventTimeMonotonicityChecker::EventTimeMonotonicityChecker()
+    : Checker({TraceEventKind::kEventScheduled, TraceEventKind::kEventFired})
 {
-  if (at < now) {
-    Report(now, Msg("event scheduled in the past: at=", at,
-                    " < now=", now));
-  }
 }
 
 void
-EventTimeMonotonicityChecker::OnEventFired(TimeUs prev, TimeUs now)
+EventTimeMonotonicityChecker::OnEvent(const TraceEvent& event)
 {
-  if (now < prev) {
-    Report(now, Msg("clock ran backwards: fired at ", now,
-                    " after clock read ", prev));
+  if (event.kind == TraceEventKind::kEventScheduled) {
+    if (event.dur_us < 0) {
+      Report(event.time_us,
+             Msg("event scheduled in the past: at=",
+                 event.time_us + event.dur_us, " < now=", event.time_us));
+    }
+    return;
+  }
+  const auto prev = static_cast<TimeUs>(event.value);
+  if (event.time_us < prev) {
+    Report(event.time_us, Msg("clock ran backwards: fired at ",
+                              event.time_us, " after clock read ", prev));
   }
 }
 
 // --- GpuConservationChecker ---
 
-void
-GpuConservationChecker::OnRoundPlan(const RoundAudit& round)
+GpuConservationChecker::GpuConservationChecker()
+    : Checker({TraceEventKind::kRoundPlan, TraceEventKind::kRoundAssignment,
+               TraceEventKind::kDispatch, TraceEventKind::kComplete,
+               TraceEventKind::kAbort})
 {
-  GpuMask used = 0;
-  for (const AssignmentAudit& a : round.assignments) {
-    if (a.mask == 0) {
-      Report(round.now, "plan contains an empty GPU set");
-      continue;
-    }
-    if (round.all_gpus != 0 && (a.mask & ~round.all_gpus) != 0) {
-      Report(round.now,
-             Msg("plan uses GPUs outside the node: ",
-                 cluster::MaskToString(a.mask & ~round.all_gpus)));
-    }
-    if ((a.mask & ~round.free_gpus) != 0) {
-      Report(round.now,
-             Msg("plan uses busy GPUs ",
-                 cluster::MaskToString(a.mask & ~round.free_gpus)));
-    }
-    if ((a.mask & used) != 0) {
-      Report(round.now,
-             Msg("plan double-books GPUs ",
-                 cluster::MaskToString(a.mask & used)));
-    }
-    used |= a.mask;
-    if (!cluster::IsPow2(cluster::Popcount(a.mask))) {
-      Report(round.now,
-             Msg("SP degree ", cluster::Popcount(a.mask),
-                 " is not a power of two for mask ",
-                 cluster::MaskToString(a.mask)));
-    }
-    if (a.num_requests < 1) {
-      Report(round.now, "assignment without requests");
-    }
-    if (a.max_steps < 1) {
-      Report(round.now,
-             Msg("assignment with non-positive step count ",
-                 a.max_steps));
-    }
-  }
 }
 
 void
-GpuConservationChecker::OnDispatch(const DispatchAudit& dispatch)
+GpuConservationChecker::OnEvent(const TraceEvent& event)
 {
-  if ((dispatch.mask & busy_) != 0) {
-    Report(dispatch.now,
-           Msg("dispatch oversubscribes busy GPUs ",
-               cluster::MaskToString(dispatch.mask & busy_)));
+  const TimeUs now = event.time_us;
+  const GpuMask mask = event.mask;
+  switch (event.kind) {
+    case TraceEventKind::kRoundPlan:
+      round_free_ = mask;
+      round_all_ = static_cast<GpuMask>(event.value);
+      round_used_ = 0;
+      return;
+    case TraceEventKind::kRoundAssignment:
+      if (mask == 0) {
+        Report(now, "plan contains an empty GPU set");
+        return;
+      }
+      if (round_all_ != 0 && (mask & ~round_all_) != 0) {
+        Report(now, Msg("plan uses GPUs outside the node: ",
+                        cluster::MaskToString(mask & ~round_all_)));
+      }
+      if ((mask & ~round_free_) != 0) {
+        Report(now, Msg("plan uses busy GPUs ",
+                        cluster::MaskToString(mask & ~round_free_)));
+      }
+      if ((mask & round_used_) != 0) {
+        Report(now, Msg("plan double-books GPUs ",
+                        cluster::MaskToString(mask & round_used_)));
+      }
+      round_used_ |= mask;
+      if (!cluster::IsPow2(cluster::Popcount(mask))) {
+        Report(now, Msg("SP degree ", cluster::Popcount(mask),
+                        " is not a power of two for mask ",
+                        cluster::MaskToString(mask)));
+      }
+      if (event.batch < 1) Report(now, "assignment without requests");
+      if (event.steps < 1) {
+        Report(now, Msg("assignment with non-positive step count ",
+                        event.steps));
+      }
+      return;
+    case TraceEventKind::kDispatch:
+      if ((mask & busy_) != 0) {
+        Report(now, Msg("dispatch oversubscribes busy GPUs ",
+                        cluster::MaskToString(mask & busy_)));
+      }
+      if (!cluster::IsPow2(cluster::Popcount(mask))) {
+        Report(now, Msg("dispatched SP degree ", cluster::Popcount(mask),
+                        " is not a power of two"));
+      }
+      busy_ |= mask;
+      return;
+    default:  // kComplete, kAbort
+      if ((mask & busy_) != mask) {
+        Report(now, Msg(event.kind == TraceEventKind::kComplete
+                            ? "completion"
+                            : "abort",
+                        " releases GPUs that were not busy: ",
+                        cluster::MaskToString(mask & ~busy_)));
+      }
+      busy_ &= ~mask;
+      return;
   }
-  if (!cluster::IsPow2(cluster::Popcount(dispatch.mask))) {
-    Report(dispatch.now,
-           Msg("dispatched SP degree ",
-               cluster::Popcount(dispatch.mask),
-               " is not a power of two"));
-  }
-  busy_ |= dispatch.mask;
-}
-
-void
-GpuConservationChecker::OnAssignmentComplete(const CompleteAudit& c)
-{
-  if ((c.mask & busy_) != c.mask) {
-    Report(c.now, Msg("completion releases GPUs that were not busy: ",
-                      cluster::MaskToString(c.mask & ~busy_)));
-  }
-  busy_ &= ~c.mask;
-}
-
-void
-GpuConservationChecker::OnAssignmentAborted(const CompleteAudit& a)
-{
-  if ((a.mask & busy_) != a.mask) {
-    Report(a.now, Msg("abort releases GPUs that were not busy: ",
-                      cluster::MaskToString(a.mask & ~busy_)));
-  }
-  busy_ &= ~a.mask;
 }
 
 // --- RequestLifecycleChecker ---
 
-void
-RequestLifecycleChecker::OnRequestAdmitted(RequestId id, TimeUs arrival_us,
-                                           TimeUs /*deadline_us*/,
-                                           int /*num_steps*/)
+RequestLifecycleChecker::RequestLifecycleChecker()
+    : Checker({TraceEventKind::kAdmit, TraceEventKind::kTransition})
 {
+}
+
+void
+RequestLifecycleChecker::OnEvent(const TraceEvent& event)
+{
+  if (event.kind == TraceEventKind::kTransition) {
+    OnTransition(event);
+    return;
+  }
   const int queued = StateInt(serving::RequestState::kQueued);
-  if (!state_.Insert(id, queued).second) {
-    Report(arrival_us, Msg("request ", id, " admitted twice"));
+  if (!state_.Insert(event.request, queued).second) {
+    Report(event.time_us,
+           Msg("request ", event.request, " admitted twice"));
   }
 }
 
 void
-RequestLifecycleChecker::OnRequestTransition(RequestId id, int from_state,
-                                             int to_state, TimeUs now)
+RequestLifecycleChecker::OnTransition(const TraceEvent& event)
 {
+  const RequestId id = event.request;
+  const int from_state = event.degree;
+  const int to_state = event.steps;
+  const TimeUs now = event.time_us;
   int* state = state_.Find(id);
   if (state == nullptr) {
     Report(now, Msg("transition of unknown request ", id));
@@ -205,146 +213,119 @@ RequestLifecycleChecker::OnRequestTransition(RequestId id, int from_state,
 
 // --- GpuHealthChecker ---
 
-void
-GpuHealthChecker::OnGpuFailed(GpuMask mask, TimeUs now)
+GpuHealthChecker::GpuHealthChecker()
+    : Checker({TraceEventKind::kGpuFail, TraceEventKind::kGpuRecover,
+               TraceEventKind::kRoundAssignment, TraceEventKind::kDispatch,
+               TraceEventKind::kLatentAssign})
 {
-  if (mask == 0) Report(now, "empty GPU failure notification");
-  if ((mask & failed_) != 0) {
-    Report(now, Msg("GPUs failed twice without recovering: ",
-                    cluster::MaskToString(mask & failed_)));
-  }
-  failed_ |= mask;
 }
 
 void
-GpuHealthChecker::OnGpuRecovered(GpuMask mask, TimeUs now)
+GpuHealthChecker::OnEvent(const TraceEvent& event)
 {
-  if ((mask & failed_) != mask) {
-    Report(now, Msg("recovery of GPUs that were not failed: ",
-                    cluster::MaskToString(mask & ~failed_)));
+  const TimeUs now = event.time_us;
+  const GpuMask mask = event.mask;
+  switch (event.kind) {
+    case TraceEventKind::kGpuFail:
+      if (mask == 0) Report(now, "empty GPU failure notification");
+      if ((mask & failed_) != 0) {
+        Report(now, Msg("GPUs failed twice without recovering: ",
+                        cluster::MaskToString(mask & failed_)));
+      }
+      failed_ |= mask;
+      return;
+    case TraceEventKind::kGpuRecover:
+      if ((mask & failed_) != mask) {
+        Report(now, Msg("recovery of GPUs that were not failed: ",
+                        cluster::MaskToString(mask & ~failed_)));
+      }
+      failed_ &= ~mask;
+      return;
+    default:
+      break;
   }
-  failed_ &= ~mask;
-}
-
-void
-GpuHealthChecker::OnRoundPlan(const RoundAudit& round)
-{
-  for (const AssignmentAudit& a : round.assignments) {
-    if ((a.mask & failed_) != 0) {
-      Report(round.now,
-             Msg("plan schedules work on failed GPUs ",
-                 cluster::MaskToString(a.mask & failed_)));
-    }
-  }
-}
-
-void
-GpuHealthChecker::OnDispatch(const DispatchAudit& dispatch)
-{
-  if ((dispatch.mask & failed_) != 0) {
-    Report(dispatch.now,
-           Msg("dispatch on failed GPUs ",
-               cluster::MaskToString(dispatch.mask & failed_)));
-  }
-}
-
-void
-GpuHealthChecker::OnLatentAssign(RequestId id, GpuMask mask, TimeUs now)
-{
-  if ((mask & failed_) != 0) {
-    Report(now, Msg("latent of request ", id, " placed on failed GPUs ",
-                    cluster::MaskToString(mask & failed_)));
+  if ((mask & failed_) == 0) return;
+  const std::string gpus = cluster::MaskToString(mask & failed_);
+  switch (event.kind) {
+    case TraceEventKind::kRoundAssignment:
+      Report(now, Msg("plan schedules work on failed GPUs ", gpus));
+      return;
+    case TraceEventKind::kDispatch:
+      Report(now, Msg("dispatch on failed GPUs ", gpus));
+      return;
+    default:  // kLatentAssign
+      Report(now, Msg("latent of request ", event.request,
+                      " placed on failed GPUs ", gpus));
+      return;
   }
 }
 
 // --- RequestConservationChecker ---
 
-void
-RequestConservationChecker::OnRequestAdmitted(RequestId id,
-                                              TimeUs /*arrival_us*/,
-                                              TimeUs /*deadline_us*/,
-                                              int /*num_steps*/)
+RequestConservationChecker::RequestConservationChecker()
+    : Checker({TraceEventKind::kAdmit, TraceEventKind::kTransition,
+               TraceEventKind::kRunEnd})
 {
-  open_[id] = true;
 }
 
 void
-RequestConservationChecker::OnRequestTransition(RequestId id,
-                                                int /*from_state*/,
-                                                int to_state,
-                                                TimeUs /*now*/)
+RequestConservationChecker::OnEvent(const TraceEvent& event)
 {
-  const auto to = static_cast<serving::RequestState>(to_state);
-  if (to == serving::RequestState::kFinished ||
-      to == serving::RequestState::kDropped ||
-      to == serving::RequestState::kCancelled) {
-    if (bool* open = open_.Find(id)) *open = false;
+  switch (event.kind) {
+    case TraceEventKind::kAdmit:
+      if (!terminal_.Insert(event.request, false).second) {
+        Report(event.time_us,
+               Msg("request ", event.request, " admitted twice"));
+        return;
+      }
+      ++admitted_;
+      return;
+    case TraceEventKind::kTransition:
+      OnTransition(event);
+      return;
+    default:  // kRunEnd
+      OnRunEnd(event.time_us);
+      return;
   }
 }
 
 void
-RequestConservationChecker::OnRunEnd(TimeUs now)
+RequestConservationChecker::OnTransition(const TraceEvent& event)
 {
-  const std::vector<RequestId> lost = SortedIds(open_, true);
-  for (RequestId id : lost) {
-    Report(now, Msg("request ", id,
-                    " silently lost: admitted but never reached a "
-                    "terminal state"));
-  }
-}
-
-// --- RuntimeConservationChecker ---
-
-void
-RuntimeConservationChecker::OnRequestAdmitted(RequestId id,
-                                              TimeUs arrival_us,
-                                              TimeUs /*deadline_us*/,
-                                              int /*num_steps*/)
-{
-  if (!terminal_.Insert(id, false).second) {
-    Report(arrival_us, Msg("request ", id, " admitted twice"));
-    return;
-  }
-  ++admitted_;
-}
-
-void
-RuntimeConservationChecker::OnRequestTransition(RequestId id,
-                                                int /*from_state*/,
-                                                int to_state, TimeUs now)
-{
-  const auto to = static_cast<serving::RequestState>(to_state);
+  const auto to = static_cast<serving::RequestState>(event.steps);
   const bool is_terminal = to == serving::RequestState::kFinished ||
                            to == serving::RequestState::kDropped ||
                            to == serving::RequestState::kCancelled;
   if (!is_terminal) return;
+  const RequestId id = event.request;
   bool* terminal = terminal_.Find(id);
   if (terminal == nullptr) {
-    Report(now, Msg("request ", id,
-                    " reached a terminal state without being admitted"));
+    Report(event.time_us,
+           Msg("request ", id,
+               " reached a terminal state without being admitted"));
     return;
   }
   if (*terminal) {
-    Report(now, Msg("request ", id, " reached a terminal state twice"));
+    Report(event.time_us,
+           Msg("request ", id, " reached a terminal state twice"));
     return;
   }
   *terminal = true;
   switch (to) {
     case serving::RequestState::kFinished: ++completed_; break;
     case serving::RequestState::kDropped: ++dropped_; break;
-    case serving::RequestState::kCancelled: ++cancelled_; break;
-    default: break;
+    default: ++cancelled_; break;
   }
 }
 
 void
-RuntimeConservationChecker::OnRunEnd(TimeUs now)
+RequestConservationChecker::OnRunEnd(TimeUs now)
 {
   const std::vector<RequestId> lost = SortedIds(terminal_, false);
   for (RequestId id : lost) {
     Report(now, Msg("request ", id,
-                    " still open at drain: admitted but never "
-                    "reached a terminal state"));
+                    " silently lost: admitted but never reached a "
+                    "terminal state"));
   }
   if (completed_ + dropped_ + cancelled_ + lost.size() != admitted_) {
     Report(now, Msg("terminal counts do not reconcile: completed ",
@@ -355,114 +336,174 @@ RuntimeConservationChecker::OnRunEnd(TimeUs now)
 
 // --- DeadlineAccountingChecker ---
 
-void
-DeadlineAccountingChecker::OnRequestAdmitted(RequestId id,
-                                             TimeUs arrival_us,
-                                             TimeUs deadline_us,
-                                             int num_steps)
+DeadlineAccountingChecker::DeadlineAccountingChecker()
+    : Checker({TraceEventKind::kAdmit, TraceEventKind::kRoundPlan,
+               TraceEventKind::kDispatch, TraceEventKind::kMember,
+               TraceEventKind::kComplete, TraceEventKind::kAbort,
+               TraceEventKind::kTransition})
 {
+}
+
+void
+DeadlineAccountingChecker::OnEvent(const TraceEvent& event)
+{
+  switch (event.kind) {
+    case TraceEventKind::kAdmit: OnAdmit(event); return;
+    case TraceEventKind::kRoundPlan: OnRoundPlan(event); return;
+    case TraceEventKind::kDispatch: OnDispatch(event); return;
+    case TraceEventKind::kMember: OnMember(event); return;
+    case TraceEventKind::kComplete: OnRelease(event, true); return;
+    case TraceEventKind::kAbort: OnRelease(event, false); return;
+    default: OnTransition(event); return;
+  }
+}
+
+void
+DeadlineAccountingChecker::OnAdmit(const TraceEvent& event)
+{
+  const RequestId id = event.request;
+  const TimeUs arrival_us = event.time_us;
+  const TimeUs deadline_us = arrival_us + static_cast<TimeUs>(event.value);
   if (deadline_us < arrival_us) {
     Report(arrival_us, Msg("request ", id, " deadline ", deadline_us,
                            " precedes arrival ", arrival_us));
   }
-  if (num_steps < 1) {
+  if (event.steps < 1) {
     Report(arrival_us,
-           Msg("request ", id, " admitted with ", num_steps, " steps"));
+           Msg("request ", id, " admitted with ", event.steps, " steps"));
   }
   Account& acct = accounts_[id];
   acct.deadline_us = deadline_us;
-  acct.num_steps = num_steps;
+  acct.num_steps = event.steps;
   acct.steps_done = 0;
 }
 
 void
-DeadlineAccountingChecker::OnRoundPlan(const RoundAudit& round)
+DeadlineAccountingChecker::OnRoundPlan(const TraceEvent& event)
 {
-  if (round.round_end < round.now) {
-    Report(round.now, Msg("round window ends in the past: ",
-                          round.round_end, " < ", round.now));
+  const TimeUs now = event.time_us;
+  if (event.dur_us < 0) {
+    Report(now, Msg("round window ends in the past: ",
+                    now + event.dur_us, " < ", now));
   }
-  if (round.now < last_plan_now_) {
-    Report(round.now, Msg("scheduler invoked backwards in time: ",
-                          round.now, " after ", last_plan_now_));
+  if (now < last_plan_now_) {
+    Report(now, Msg("scheduler invoked backwards in time: ", now,
+                    " after ", last_plan_now_));
   }
-  last_plan_now_ = round.now;
+  last_plan_now_ = now;
 }
 
 void
-DeadlineAccountingChecker::OnDispatch(const DispatchAudit& dispatch)
+DeadlineAccountingChecker::OnDispatch(const TraceEvent& event)
 {
-  if (dispatch.steps < 1) {
-    Report(dispatch.now,
-           Msg("dispatch with non-positive step count ", dispatch.steps));
+  if (event.steps < 1) {
+    Report(event.time_us,
+           Msg("dispatch with non-positive step count ", event.steps));
   }
-  int resolution = -1;
-  bool first = true;
-  for (const MemberAudit& m : dispatch.members) {
-    if (first) {
-      resolution = m.resolution;
-      first = false;
-    } else if (m.resolution != resolution) {
-      Report(dispatch.now,
-             Msg("batched members mix resolutions (request ", m.id, ")"));
-    }
-    if (dispatch.steps > m.remaining_steps) {
-      Report(dispatch.now,
-             Msg("dispatch of ", dispatch.steps,
-                 " steps exceeds remaining ", m.remaining_steps,
-                 " of request ", m.id));
-    }
-    const Account* acct = accounts_.Find(m.id);
-    if (acct == nullptr) {
-      Report(dispatch.now, Msg("dispatch of unknown request ", m.id));
-      continue;
-    }
-    const int expected = acct->num_steps - acct->steps_done;
-    if (m.remaining_steps != expected) {
-      Report(dispatch.now,
-             Msg("remaining-step accounting drift for request ", m.id,
-                 ": engine says ", m.remaining_steps, ", audit says ",
-                 expected));
+  Flight* slot = nullptr;
+  for (Flight& flight : flights_) {
+    if (flight.mask == 0) {
+      slot = &flight;
+      break;
     }
   }
+  // emplace_back may move every slot: open_ is re-pointed just below.
+  if (slot == nullptr) slot = &flights_.emplace_back();
+  slot->mask = event.mask;
+  slot->members.clear();
+  open_ = slot;
+  open_steps_ = event.steps;
+  open_resolution_ = -1;
 }
 
 void
-DeadlineAccountingChecker::OnAssignmentComplete(const CompleteAudit& c)
+DeadlineAccountingChecker::OnMember(const TraceEvent& event)
 {
-  for (RequestId id : c.requests) {
-    Account* acct = accounts_.Find(id);
-    if (acct == nullptr) continue;  // already reported at dispatch
-    acct->steps_done += c.steps;
-    if (acct->steps_done > acct->num_steps) {
-      Report(c.now, Msg("request ", id, " executed ", acct->steps_done,
-                        " of ", acct->num_steps, " steps"));
+  const TimeUs now = event.time_us;
+  const RequestId id = event.request;
+  const auto resolution = static_cast<int>(event.value);
+  if (open_ != nullptr && open_->mask == event.mask) {
+    open_->members.push_back(id);
+    if (open_resolution_ < 0) {
+      open_resolution_ = resolution;
+    } else if (resolution != open_resolution_) {
+      Report(now, Msg("batched members mix resolutions (request ", id,
+                      ")"));
+    }
+    if (open_steps_ > event.steps) {
+      Report(now, Msg("dispatch of ", open_steps_,
+                      " steps exceeds remaining ", event.steps,
+                      " of request ", id));
     }
   }
-}
-
-void
-DeadlineAccountingChecker::OnRequestTransition(RequestId id,
-                                               int /*from_state*/,
-                                               int to_state, TimeUs now)
-{
-  if (to_state != StateInt(serving::RequestState::kFinished)) return;
   const Account* acct = accounts_.Find(id);
+  if (acct == nullptr) {
+    Report(now, Msg("dispatch of unknown request ", id));
+    return;
+  }
+  const int expected = acct->num_steps - acct->steps_done;
+  if (event.steps != expected) {
+    Report(now, Msg("remaining-step accounting drift for request ", id,
+                    ": engine says ", event.steps, ", audit says ",
+                    expected));
+  }
+}
+
+void
+DeadlineAccountingChecker::OnRelease(const TraceEvent& event, bool credit)
+{
+  for (Flight& flight : flights_) {
+    if (flight.mask != event.mask) continue;
+    if (credit) {
+      for (RequestId id : flight.members) {
+        Account* acct = accounts_.Find(id);
+        if (acct == nullptr) continue;  // already reported at dispatch
+        acct->steps_done += event.steps;
+        if (acct->steps_done > acct->num_steps) {
+          Report(event.time_us,
+                 Msg("request ", id, " executed ", acct->steps_done,
+                     " of ", acct->num_steps, " steps"));
+        }
+      }
+    }
+    flight.mask = 0;
+    if (open_ == &flight) open_ = nullptr;
+    return;
+  }
+}
+
+void
+DeadlineAccountingChecker::OnTransition(const TraceEvent& event)
+{
+  if (event.steps != StateInt(serving::RequestState::kFinished)) return;
+  const Account* acct = accounts_.Find(event.request);
   if (acct == nullptr) return;
   if (acct->steps_done != acct->num_steps) {
-    Report(now, Msg("request ", id, " finished with ",
-                    acct->num_steps - acct->steps_done,
-                    " steps outstanding"));
+    Report(event.time_us, Msg("request ", event.request, " finished with ",
+                              acct->num_steps - acct->steps_done,
+                              " steps outstanding"));
   }
 }
 
 // --- LatentLifetimeChecker ---
 
-void
-LatentLifetimeChecker::OnLatentAssign(RequestId id, GpuMask mask,
-                                      TimeUs now)
+LatentLifetimeChecker::LatentLifetimeChecker()
+    : Checker({TraceEventKind::kLatentAssign, TraceEventKind::kLatentRelease})
 {
-  if (mask == 0) {
+}
+
+void
+LatentLifetimeChecker::OnEvent(const TraceEvent& event)
+{
+  const RequestId id = event.request;
+  const TimeUs now = event.time_us;
+  if (event.kind == TraceEventKind::kLatentRelease) {
+    if (!released_.Insert(id, true).second) {
+      Report(now, Msg("latent of request ", id, " released twice"));
+    }
+    return;
+  }
+  if (event.mask == 0) {
     Report(now, Msg("latent of request ", id,
                     " assigned to an empty GPU set"));
   }
@@ -471,19 +512,11 @@ LatentLifetimeChecker::OnLatentAssign(RequestId id, GpuMask mask,
   }
 }
 
-void
-LatentLifetimeChecker::OnLatentRelease(RequestId id, TimeUs now)
-{
-  if (!released_.Insert(id, true).second) {
-    Report(now, Msg("latent of request ", id, " released twice"));
-  }
-}
-
 // --- CostModelSanityChecker ---
 
 CostModelSanityChecker::CostModelSanityChecker(
     const costmodel::LatencyTable* table)
-    : table_(table)
+    : Checker(std::initializer_list<TraceEventKind>{}), table_(table)
 {
   TETRI_CHECK(table_ != nullptr);
 }

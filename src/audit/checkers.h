@@ -1,7 +1,8 @@
 /**
  * @file
  * The concrete invariant checkers (one per scheduler invariant the
- * paper relies on) and helpers that install the standard suite:
+ * paper relies on) and helpers that install the standard suite. Each
+ * is a trace sink that switches on the event kind:
  *
  *  - EventTimeMonotonicityChecker: the virtual clock never runs
  *    backwards and nothing is scheduled in the past.
@@ -20,14 +21,16 @@
  *  - GpuHealthChecker: no plan, dispatch, or latent placement ever
  *    touches a GPU that failed and has not recovered; fail/recover
  *    notifications bracket sanely.
- *  - RequestConservationChecker: every admitted request reaches a
- *    terminal state (finished/dropped/cancelled) by end of run — no
- *    request is silently lost across failures and requeues.
+ *  - RequestConservationChecker: every admitted request reaches
+ *    exactly one terminal state (finished/dropped/cancelled) by end of
+ *    run — no request is silently lost or counted twice across
+ *    failures and requeues.
  *  - CostModelSanityChecker: profiled latencies are finite, positive,
  *    and monotone in resolution; runs once over the table at install.
  *
- * Every hook is O(1) amortized per runtime event (IdTable lookups and
- * bit operations); the cost-model sweep is O(table) once.
+ * Every event is O(1) amortized per checker (IdTable lookups and bit
+ * operations; a kComplete walks its flight's members); the cost-model
+ * sweep is O(table) once.
  */
 #ifndef TETRI_AUDIT_CHECKERS_H
 #define TETRI_AUDIT_CHECKERS_H
@@ -48,23 +51,26 @@ namespace tetri::audit {
 /** Virtual-time monotonicity of the event queue. */
 class EventTimeMonotonicityChecker final : public Checker {
  public:
+  EventTimeMonotonicityChecker();
   std::string_view name() const override {
     return "event-time-monotonicity";
   }
-  void OnEventScheduled(TimeUs now, TimeUs at) override;
-  void OnEventFired(TimeUs prev, TimeUs now) override;
+  void OnEvent(const TraceEvent& event) override;
 };
 
 /** Per-round GPU conservation and power-of-two SP degrees. */
 class GpuConservationChecker final : public Checker {
  public:
+  GpuConservationChecker();
   std::string_view name() const override { return "gpu-conservation"; }
-  void OnRoundPlan(const RoundAudit& round) override;
-  void OnDispatch(const DispatchAudit& dispatch) override;
-  void OnAssignmentComplete(const CompleteAudit& complete) override;
-  void OnAssignmentAborted(const CompleteAudit& aborted) override;
+  void OnEvent(const TraceEvent& event) override;
 
  private:
+  /** The current kRoundPlan's free GPUs and node, and the GPUs its
+   * assignments booked so far. */
+  GpuMask round_free_ = 0;
+  GpuMask round_all_ = 0;
+  GpuMask round_used_ = 0;
   /** GPUs currently executing, mirrored from dispatch/complete. */
   GpuMask busy_ = 0;
 };
@@ -72,58 +78,32 @@ class GpuConservationChecker final : public Checker {
 /** Failed GPUs never receive work until they recover. */
 class GpuHealthChecker final : public Checker {
  public:
+  GpuHealthChecker();
   std::string_view name() const override { return "gpu-health"; }
-  void OnGpuFailed(GpuMask mask, TimeUs now) override;
-  void OnGpuRecovered(GpuMask mask, TimeUs now) override;
-  void OnRoundPlan(const RoundAudit& round) override;
-  void OnDispatch(const DispatchAudit& dispatch) override;
-  void OnLatentAssign(RequestId id, GpuMask mask, TimeUs now) override;
+  void OnEvent(const TraceEvent& event) override;
 
  private:
   /** GPUs currently failed, mirrored from fail/recover events. */
   GpuMask failed_ = 0;
 };
 
-/** Every admitted request reaches a terminal state by end of run. */
+/**
+ * Every admitted request reaches exactly one terminal state (finished,
+ * dropped or cancelled) by the end of the run, and the terminal counts
+ * reconcile exactly — completed + dropped + cancelled == admitted —
+ * under any schedule of failures, requeues, and retries. Double
+ * admission, terminal transitions for unknown requests, and double
+ * terminals are violations too, so a watchdog requeue racing a late
+ * worker completion cannot silently count a request twice. Serves
+ * both the simulated serving loop and the concurrent runtime.
+ */
 class RequestConservationChecker final : public Checker {
  public:
+  RequestConservationChecker();
   std::string_view name() const override {
     return "request-conservation";
   }
-  void OnRequestAdmitted(RequestId id, TimeUs arrival_us,
-                         TimeUs deadline_us, int num_steps) override;
-  void OnRequestTransition(RequestId id, int from_state, int to_state,
-                           TimeUs now) override;
-  void OnRunEnd(TimeUs now) override;
-
- private:
-  /** Admitted requests; true until they reach a terminal state. */
-  IdTable<bool> open_;
-};
-
-/**
- * Drain invariant of the concurrent serving runtime: every admitted
- * request reaches exactly one terminal state, and the terminal counts
- * reconcile exactly — completed + dropped + cancelled == admitted —
- * under any schedule of crashes, requeues, and retries. Stricter than
- * RequestConservationChecker: double admission, terminal transitions
- * for unknown requests, and double terminals are violations too, so a
- * watchdog requeue racing a late worker completion cannot silently
- * count a request twice.
- *
- * Like every checker it must be fed from one thread; the runtime
- * emits all audit notifications from its planner thread.
- */
-class RuntimeConservationChecker final : public Checker {
- public:
-  std::string_view name() const override {
-    return "runtime-conservation";
-  }
-  void OnRequestAdmitted(RequestId id, TimeUs arrival_us,
-                         TimeUs deadline_us, int num_steps) override;
-  void OnRequestTransition(RequestId id, int from_state, int to_state,
-                           TimeUs now) override;
-  void OnRunEnd(TimeUs now) override;
+  void OnEvent(const TraceEvent& event) override;
 
   std::uint64_t admitted() const { return admitted_; }
   std::uint64_t completed() const { return completed_; }
@@ -134,6 +114,9 @@ class RuntimeConservationChecker final : public Checker {
   }
 
  private:
+  void OnTransition(const TraceEvent& event);
+  void OnRunEnd(TimeUs now);
+
   /** Admitted requests; true once they reached a terminal state. */
   IdTable<bool> terminal_;
   std::uint64_t admitted_ = 0;
@@ -145,30 +128,30 @@ class RuntimeConservationChecker final : public Checker {
 /** Request state-machine legality. */
 class RequestLifecycleChecker final : public Checker {
  public:
+  RequestLifecycleChecker();
   std::string_view name() const override { return "request-lifecycle"; }
-  void OnRequestAdmitted(RequestId id, TimeUs arrival_us,
-                         TimeUs deadline_us, int num_steps) override;
-  void OnRequestTransition(RequestId id, int from_state, int to_state,
-                           TimeUs now) override;
+  void OnEvent(const TraceEvent& event) override;
 
  private:
+  void OnTransition(const TraceEvent& event);
+
   /** Tracked state per request (serving::RequestState as int). */
   IdTable<int> state_;
 };
 
-/** Deadline and per-step accounting consistency. */
+/**
+ * Deadline and per-step accounting consistency. The members a
+ * kComplete credits are the kMember events of the in-flight kDispatch
+ * on the same GPU set (in-flight sets are disjoint); their id lists
+ * live in reused flight slots.
+ */
 class DeadlineAccountingChecker final : public Checker {
  public:
+  DeadlineAccountingChecker();
   std::string_view name() const override {
     return "deadline-accounting";
   }
-  void OnRequestAdmitted(RequestId id, TimeUs arrival_us,
-                         TimeUs deadline_us, int num_steps) override;
-  void OnRoundPlan(const RoundAudit& round) override;
-  void OnDispatch(const DispatchAudit& dispatch) override;
-  void OnAssignmentComplete(const CompleteAudit& complete) override;
-  void OnRequestTransition(RequestId id, int from_state, int to_state,
-                           TimeUs now) override;
+  void OnEvent(const TraceEvent& event) override;
 
  private:
   struct Account {
@@ -176,16 +159,38 @@ class DeadlineAccountingChecker final : public Checker {
     int num_steps = 0;
     int steps_done = 0;
   };
+  /** One in-flight dispatch; mask == 0 marks a free slot. */
+  struct Flight {
+    GpuMask mask = 0;
+    std::vector<RequestId> members;
+  };
+
+  void OnAdmit(const TraceEvent& event);
+  void OnRoundPlan(const TraceEvent& event);
+  void OnDispatch(const TraceEvent& event);
+  void OnMember(const TraceEvent& event);
+  /** Close the flight on @p event's mask, crediting its members with
+   * @p credit steps each. */
+  void OnRelease(const TraceEvent& event, bool credit);
+  void OnTransition(const TraceEvent& event);
+
   IdTable<Account> accounts_;
+  std::vector<Flight> flights_;
+  /** The latest kDispatch, which the kMember events that follow it
+   * belong to; null once its flight closed. */
+  Flight* open_ = nullptr;
+  int open_steps_ = 0;
+  /** Resolution of the open dispatch's first member; -1 before it. */
+  int open_resolution_ = -1;
   TimeUs last_plan_now_ = 0;
 };
 
 /** Latent buffer lifetime: no use-after-release, no double release. */
 class LatentLifetimeChecker final : public Checker {
  public:
+  LatentLifetimeChecker();
   std::string_view name() const override { return "latent-lifetime"; }
-  void OnLatentAssign(RequestId id, GpuMask mask, TimeUs now) override;
-  void OnLatentRelease(RequestId id, TimeUs now) override;
+  void OnEvent(const TraceEvent& event) override;
 
  private:
   /** Requests whose latent was released. */
@@ -211,6 +216,8 @@ class CostModelSanityChecker final : public Checker {
 
   explicit CostModelSanityChecker(const costmodel::LatencyTable* table);
   std::string_view name() const override { return "costmodel-sanity"; }
+  /** Reads no event: the sweep runs at install. */
+  void OnEvent(const TraceEvent& /*event*/) override {}
 
   /** Sweep the whole table once; reports one violation per bad cell. */
   void Validate();

@@ -282,7 +282,6 @@ ServingRuntime::PlannerLoop()
           ev.time_us = now;
           options_.trace->OnEvent(ev);
         }
-        if (options_.audit != nullptr) options_.audit->OnRunEnd(now);
         // Park the heartbeat so the watchdog's stall detector never
         // fires on the planner's own exit.
         planner_waiting_.store(true, std::memory_order_relaxed);
@@ -577,7 +576,7 @@ ServingRuntime::ApplyCompletion(const CompletionMsg& msg)
       const auto it = active_.find(id);
       if (it == active_.end()) continue;
       serving::Request& request = it->second;
-      AuditTransition(id, serving::RequestState::kRunning,
+      TraceTransition(id, serving::RequestState::kRunning,
                       serving::RequestState::kQueued, now);
       request.state = serving::RequestState::kQueued;
       QueueInsert(&request);  // the drop paths below erase again
@@ -631,7 +630,7 @@ ServingRuntime::ApplyCompletion(const CompletionMsg& msg)
     if (request.RemainingSteps() <= 0) {
       FinishRequest(request, now);
     } else {
-      AuditTransition(id, serving::RequestState::kRunning,
+      TraceTransition(id, serving::RequestState::kRunning,
                       serving::RequestState::kQueued, now);
       request.state = serving::RequestState::kQueued;
       QueueInsert(&request);
@@ -658,11 +657,6 @@ ServingRuntime::AdmitPending(std::vector<workload::TraceRequest>* pending)
       ev.value = static_cast<double>(request.meta.deadline_us -
                                      request.meta.arrival_us);
       options_.trace->OnEvent(ev);
-    }
-    if (options_.audit != nullptr) {
-      options_.audit->OnRequestAdmitted(id, request.meta.arrival_us,
-                                        request.meta.deadline_us,
-                                        request.meta.num_steps);
     }
     const auto [it, inserted] = active_.emplace(id, std::move(request));
     TETRI_CHECK(inserted);
@@ -814,7 +808,7 @@ ServingRuntime::PlanOnce(TimeUs now)
       const auto it = active_.find(id);
       TETRI_CHECK(it != active_.end());
       serving::Request& member = it->second;
-      AuditTransition(id, serving::RequestState::kQueued,
+      TraceTransition(id, serving::RequestState::kQueued,
                       serving::RequestState::kRunning, now);
       member.state = serving::RequestState::kRunning;
       QueueErase(member);
@@ -865,7 +859,7 @@ ServingRuntime::PlanOnce(TimeUs now)
 void
 ServingRuntime::FinishRequest(serving::Request& request, TimeUs now)
 {
-  AuditTransition(request.meta.id, request.state,
+  TraceTransition(request.meta.id, request.state,
                   serving::RequestState::kFinished, now);
   request.state = serving::RequestState::kFinished;
   request.completion_us = now;
@@ -885,7 +879,7 @@ void
 ServingRuntime::DropRequest(serving::Request& request, TimeUs now,
                             metrics::DropReason reason, bool count_failed)
 {
-  AuditTransition(request.meta.id, request.state,
+  TraceTransition(request.meta.id, request.state,
                   serving::RequestState::kDropped, now);
   request.state = serving::RequestState::kDropped;
   request.drop_reason = reason;
@@ -959,12 +953,17 @@ ServingRuntime::RemoveRequest(RequestId id, metrics::Outcome outcome,
 }
 
 void
-ServingRuntime::AuditTransition(RequestId id, serving::RequestState from,
+ServingRuntime::TraceTransition(RequestId id, serving::RequestState from,
                                 serving::RequestState to, TimeUs now)
 {
-  if (options_.audit == nullptr) return;
-  options_.audit->OnRequestTransition(id, static_cast<int>(from),
-                                      static_cast<int>(to), now);
+  if (options_.trace == nullptr) return;
+  trace::TraceEvent ev;
+  ev.kind = trace::TraceEventKind::kTransition;
+  ev.time_us = now;
+  ev.request = id;
+  ev.degree = static_cast<std::int32_t>(from);
+  ev.steps = static_cast<std::int32_t>(to);
+  options_.trace->OnEvent(ev);
 }
 
 }  // namespace tetri::runtime

@@ -41,8 +41,9 @@
  * SP-degree cap (chaos::RetryPolicy) until the retry budget is spent,
  * then drop with DropReason::kRetryBudget, counted as `failed`. The
  * drain invariant completed + dropped + failed == admitted holds
- * under every chaos schedule; audit::RuntimeConservationChecker
- * enforces it when an audit sink is attached.
+ * under every chaos schedule; audit::RequestConservationChecker
+ * enforces it when an audit::Auditor is added to the trace::Tracer
+ * passed as RuntimeOptions::trace.
  *
  * Graceful drain protocol (ordering matters and is pinned by tests):
  *  1. Close the admission queue — later Submit calls return kClosed;
@@ -71,7 +72,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "audit/sink.h"
 #include "chaos/chaos.h"
 #include "cluster/topology.h"
 #include "costmodel/latency_table.h"
@@ -174,11 +174,11 @@ struct RuntimeOptions {
   std::function<void(const Completion&)> on_complete;
   /** Trace sink (nullable, not owned). Worker threads and the
    * watchdog emit concurrently, so attach an internally-synchronized
-   * sink such as trace::Tracer. */
+   * sink such as trace::Tracer. The planner emits the request
+   * lifecycle (kAdmit, kTransition, kRunEnd) here too: to audit a
+   * runtime, add an audit::Auditor to that Tracer, which serialises
+   * every emitter. */
   trace::TraceSink* trace = nullptr;
-  /** Audit sink (nullable, not owned). Fed exclusively from the
-   * planner thread, so a plain audit::Auditor works unmodified. */
-  audit::AuditSink* audit = nullptr;
 };
 
 /** Watchdog / failure-path counters (RecoveryCounters analogue). */
@@ -367,7 +367,8 @@ class ServingRuntime {
   void RemoveRequest(RequestId id, metrics::Outcome outcome,
                      metrics::DropReason reason, TimeUs now,
                      bool count_failed);
-  void AuditTransition(RequestId id, serving::RequestState from,
+  /** Emit kTransition when a sink is attached. */
+  void TraceTransition(RequestId id, serving::RequestState from,
                        serving::RequestState to, TimeUs now);
   /** Tenant queue-delay histogram, created on first use. */
   metrics::SharedHistogram& TenantDelayHistogram(TenantId tenant);

@@ -71,20 +71,6 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
   }
   TETRI_CHECK(steps >= 1);
 
-  if (audit_ != nullptr) {
-    audit::DispatchAudit da;
-    da.now = now;
-    da.mask = assignment.mask;
-    da.steps = steps;
-    audit_members_.clear();
-    for (const Request* req : members_) {
-      audit_members_.push_back({req->meta.id, req->RemainingSteps(),
-                                static_cast<int>(req->meta.resolution)});
-    }
-    da.members = audit_members_;
-    audit_->OnDispatch(da);
-  }
-
   // Re-sharding stall: switching a request onto a different GPU set
   // costs a communicator switch, plus NCCL warmup if the group is
   // cold. Placement preservation exists to avoid exactly this.
@@ -133,9 +119,9 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
   // value. Truncating here while accumulating the raw double into
   // busy_gpu_us_ would let utilization's numerator drift from the sum
   // of timeline spans by up to a microsecond per dispatch. Per-step
-  // boundaries are only materialized when tracing; the rng draws are
-  // identical either way, so enabling a trace sink cannot perturb the
-  // simulated schedule.
+  // boundaries are only materialized when a sink is attached; the rng
+  // draws are identical either way, so attaching one cannot perturb
+  // the simulated schedule.
   const TimeUs exec_span_us = util::JitteredSpanUs(
       &rng_, mean_us, cv, steps, trace_ != nullptr ? &step_ends_ : nullptr);
   busy_ |= assignment.mask;
@@ -166,6 +152,7 @@ ExecutionEngine::Dispatch(const Assignment& assignment)
       member.degree = degree;
       member.steps = req->RemainingSteps();
       member.batch = batch;
+      member.value = static_cast<double>(static_cast<int>(res));
       trace_->OnEvent(member);
     }
     // Step spans tile [now + transfer, end] exactly: boundaries are
@@ -254,14 +241,6 @@ ExecutionEngine::Complete(const Assignment& assignment, int steps,
   const int batch = static_cast<int>(assignment.requests.size());
   busy_ &= ~assignment.mask;
 
-  if (audit_ != nullptr) {
-    audit::CompleteAudit ca;
-    ca.now = simulator_->Now();
-    ca.mask = assignment.mask;
-    ca.steps = steps;
-    ca.requests = assignment.requests;
-    audit_->OnAssignmentComplete(ca);
-  }
   if (trace_ != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::TraceEventKind::kComplete;
@@ -307,7 +286,6 @@ ExecutionEngine::FailGpus(GpuMask mask)
   // Process-group collapse: a dead worker tears down every
   // communicator it participates in; survivors re-warm on demand.
   pg_cache_.Invalidate(mask);
-  if (audit_ != nullptr) audit_->OnGpuFailed(mask, now);
   if (trace_ != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::TraceEventKind::kGpuFail;
@@ -341,7 +319,6 @@ ExecutionEngine::RecoverGpus(GpuMask mask)
   failed_ &= ~mask;
   ++num_gpu_recoveries_;
   const TimeUs now = simulator_->Now();
-  if (audit_ != nullptr) audit_->OnGpuRecovered(mask, now);
   if (trace_ != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::TraceEventKind::kGpuRecover;
@@ -375,14 +352,6 @@ ExecutionEngine::Abort(const InFlight& flight, GpuMask failed_now)
         static_cast<std::size_t>(flight.timeline_index), now);
   }
 
-  if (audit_ != nullptr) {
-    audit::CompleteAudit aa;
-    aa.now = now;
-    aa.mask = assignment.mask;
-    aa.steps = flight.steps;
-    aa.requests = assignment.requests;
-    audit_->OnAssignmentAborted(aa);
-  }
   if (trace_ != nullptr) {
     // The planned dispatch/step spans stay in the trace at their full
     // extents; this instant marks where execution really stopped.

@@ -57,16 +57,10 @@ class ExecutionEngine {
                   std::uint64_t seed);
 
   /**
-   * Attach an audit sink notified of dispatches and completions
-   * (nullptr disables). Does not take ownership.
-   */
-  void set_audit(audit::AuditSink* sink) { audit_ = sink; }
-
-  /**
-   * Attach a trace sink recording execution spans — dispatch, member,
+   * Attach a sink recording execution spans — dispatch, member,
    * per-step, complete, abort — plus fault instants (nullptr
-   * disables). Does not take ownership. Tracing is a pure observer:
-   * enabling it draws no extra randomness and changes no behaviour.
+   * disables). Does not take ownership. The sink is a pure observer:
+   * attaching one draws no extra randomness and changes no behaviour.
    */
   void set_trace(trace::TraceSink* sink) { trace_ = sink; }
 
@@ -219,11 +213,10 @@ class ExecutionEngine {
   /** Per-GPU slowdown factors (straggler injection), >= 1.0 nominal. */
   std::vector<double> straggler_;
   /** Dispatch scratch, reused so steady-state dispatch does not
-   * allocate: the members' tracker entries, (when tracing) the
-   * per-step end offsets, and (when audited) the members' payload. */
+   * allocate: the members' tracker entries and (when observed) the
+   * per-step end offsets. */
   std::vector<Request*> members_;
   std::vector<TimeUs> step_ends_;
-  std::vector<audit::MemberAudit> audit_members_;
   /** In-flight assignment slots. A freed slot keeps its request
    * buffer for the next dispatch, so steady-state dispatch does not
    * allocate. FailGpus aborts in id order, which keeps it
@@ -235,7 +228,6 @@ class ExecutionEngine {
   std::vector<std::uint64_t> abort_ids_;
   std::uint64_t next_flight_id_ = 0;
   Timeline* timeline_ = nullptr;
-  audit::AuditSink* audit_ = nullptr;
   trace::TraceSink* trace_ = nullptr;
   std::function<void(TimeUs)> on_assignment_done_;
   std::function<void(Request&)> on_request_done_;

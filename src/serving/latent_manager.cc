@@ -15,7 +15,14 @@ TimeUs
 LatentManager::OnAssignment(Request& request, GpuMask mask, int batch,
                             TimeUs now)
 {
-  if (audit_ != nullptr) audit_->OnLatentAssign(request.meta.id, mask, now);
+  if (trace_ != nullptr) {
+    trace::TraceEvent ev;
+    ev.kind = trace::TraceEventKind::kLatentAssign;
+    ev.time_us = now;
+    ev.request = request.meta.id;
+    ev.mask = mask;
+    trace_->OnEvent(ev);
+  }
   TETRI_CHECK(mask != 0);
   const GpuMask prev = request.latent_mask;
   request.latent_mask = mask;
@@ -40,7 +47,13 @@ LatentManager::OnAssignment(Request& request, GpuMask mask, int batch,
 void
 LatentManager::Forget(Request& request, TimeUs now)
 {
-  if (audit_ != nullptr) audit_->OnLatentRelease(request.meta.id, now);
+  if (trace_ != nullptr) {
+    trace::TraceEvent ev;
+    ev.kind = trace::TraceEventKind::kLatentRelease;
+    ev.time_us = now;
+    ev.request = request.meta.id;
+    trace_->OnEvent(ev);
+  }
   request.latent_mask = 0;
 }
 

@@ -13,9 +13,9 @@
 #ifndef TETRI_SERVING_LATENT_MANAGER_H
 #define TETRI_SERVING_LATENT_MANAGER_H
 
-#include "audit/sink.h"
 #include "costmodel/step_cost.h"
 #include "serving/request.h"
+#include "trace/sink.h"
 #include "util/stats.h"
 #include "util/types.h"
 
@@ -26,8 +26,9 @@ class LatentManager {
  public:
   explicit LatentManager(const costmodel::StepCostModel* cost);
 
-  /** Attach an audit sink notified of latent placements/releases. */
-  void set_audit(audit::AuditSink* sink) { audit_ = sink; }
+  /** Attach a sink notified of latent placements (kLatentAssign) and
+   * releases (kLatentRelease). Nullable, not owned. */
+  void set_trace(trace::TraceSink* sink) { trace_ = sink; }
 
   /**
    * Called when @p request is about to execute on @p mask at virtual
@@ -54,7 +55,7 @@ class LatentManager {
 
  private:
   const costmodel::StepCostModel* cost_;
-  audit::AuditSink* audit_ = nullptr;
+  trace::TraceSink* trace_ = nullptr;
   TimeUs total_transfer_us_ = 0;
   int num_transfers_ = 0;
   RunningStat transfer_stats_;

@@ -14,9 +14,14 @@ RequestTracker::Admit(const workload::TraceRequest& meta)
   TETRI_CHECK_MSG(cell.slot == Request::kNoSlot,
                   "duplicate request id " << meta.id);
   TETRI_CHECK(entries_.size() < Request::kNoSlot);
-  if (audit_ != nullptr) {
-    audit_->OnRequestAdmitted(meta.id, meta.arrival_us, meta.deadline_us,
-                              meta.num_steps);
+  if (trace_ != nullptr) {
+    trace::TraceEvent ev;
+    ev.kind = trace::TraceEventKind::kAdmit;
+    ev.time_us = meta.arrival_us;
+    ev.request = meta.id;
+    ev.steps = meta.num_steps;
+    ev.value = static_cast<double>(meta.deadline_us - meta.arrival_us);
+    trace_->OnEvent(ev);
   }
   const auto slot = static_cast<std::uint32_t>(entries_.size());
   cell = IndexCell{meta.id, slot};
@@ -31,10 +36,14 @@ RequestTracker::Admit(const workload::TraceRequest& meta)
 void
 RequestTracker::Transition(Request& request, RequestState to, TimeUs now)
 {
-  if (audit_ != nullptr) {
-    audit_->OnRequestTransition(request.meta.id,
-                                static_cast<int>(request.state),
-                                static_cast<int>(to), now);
+  if (trace_ != nullptr) {
+    trace::TraceEvent ev;
+    ev.kind = trace::TraceEventKind::kTransition;
+    ev.time_us = now;
+    ev.request = request.meta.id;
+    ev.degree = static_cast<std::int32_t>(request.state);
+    ev.steps = static_cast<std::int32_t>(to);
+    trace_->OnEvent(ev);
   }
   Entry& entry = EntryOf(request);
   const bool was_active = request.Active();

@@ -23,16 +23,17 @@
 #include <deque>
 #include <vector>
 
-#include "audit/sink.h"
 #include "serving/request.h"
+#include "trace/sink.h"
 
 namespace tetri::serving {
 
 /** Registry of all requests of one serving run. */
 class RequestTracker {
  public:
-  /** Attach an audit sink notified of admissions and transitions. */
-  void set_audit(audit::AuditSink* sink) { audit_ = sink; }
+  /** Attach a sink notified of admissions (kAdmit) and transitions
+   * (kTransition). Nullable, not owned. */
+  void set_trace(trace::TraceSink* sink) { trace_ = sink; }
 
   /**
    * Register an arrived request. Ids must be unique. O(1) amortized.
@@ -43,7 +44,7 @@ class RequestTracker {
   /**
    * Move @p request to @p to at time @p now. The single mutation point
    * for request states: every lifecycle change flows through here so
-   * the audit layer sees the full transition stream, and the active
+   * an observer sees the full transition stream, and the active
    * count and queued set stay exact. O(1), except that leaving kQueued
    * erases from the ordered queued set in O(q).
    */
@@ -128,7 +129,7 @@ class RequestTracker {
    */
   std::vector<Entry*> queued_;
   int num_active_ = 0;
-  audit::AuditSink* audit_ = nullptr;
+  trace::TraceSink* trace_ = nullptr;
 };
 
 }  // namespace tetri::serving

@@ -14,6 +14,29 @@
 
 namespace tetri::serving {
 
+namespace {
+
+/** Hands each event to the trace sink, then to the auditor. Two plain
+ * calls: unlike trace::Tracer it takes no lock and stamps no seq. */
+class BothSinks final : public trace::TraceSink {
+ public:
+  BothSinks(trace::TraceSink* first, trace::TraceSink* second)
+      : first_(first), second_(second)
+  {
+  }
+  void OnEvent(const trace::TraceEvent& event) override
+  {
+    first_->OnEvent(event);
+    second_->OnEvent(event);
+  }
+
+ private:
+  trace::TraceSink* first_;
+  trace::TraceSink* second_;
+};
+
+}  // namespace
+
 double
 ServingResult::GpuUtilization(int num_gpus) const
 {
@@ -69,25 +92,25 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
     auditor = owned_auditor.get();
   }
 #endif
-  if (auditor != nullptr) {
-    simulator.set_audit(auditor);
-    tracker.set_audit(auditor);
-    latents.set_audit(auditor);
-  }
 
-  // Trace wiring: one nullable sink threads through every component.
-  // The scheduler's sink is cleared before returning — the scheduler
-  // outlives the run, the sink usually does not.
-  trace::TraceSink* tracer = config_.trace;
-  if (tracer != nullptr) {
-    simulator.set_trace(tracer);
-    scheduler->set_trace(tracer);
-  }
+  // Observer wiring: one nullable sink threads through every component
+  // — the trace sink or the auditor when only one is set, both through
+  // a forwarder otherwise. The scheduler gets only the trace sink, so
+  // an audited run does not pay for the decision trace; its sink is
+  // cleared before returning — the scheduler outlives the run, the
+  // sink usually does not.
+  trace::TraceSink* const tracer = config_.trace;
+  BothSinks both(tracer, auditor);
+  trace::TraceSink* sink = tracer != nullptr ? tracer : auditor;
+  if (tracer != nullptr && auditor != nullptr) sink = &both;
+  simulator.set_trace(sink);
+  tracker.set_trace(sink);
+  latents.set_trace(sink);
+  if (tracer != nullptr) scheduler->set_trace(tracer);
 
   ExecutionEngine engine(&simulator, &cost_, &tracker, &latents,
                          config_.seed ^ 0xE7E7E7E7ULL);
-  if (auditor != nullptr) engine.set_audit(auditor);
-  if (tracer != nullptr) engine.set_trace(tracer);
+  engine.set_trace(sink);
   ServingResult result;
   if (config_.record_timeline) engine.set_timeline(&result.timeline);
 
@@ -104,14 +127,14 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
     for (Request* req : *schedulable) {
       if (now >= DropAtUs(*req, config_.drop_timeout_factor)) {
         req->drop_reason = metrics::DropReason::kTimeout;
-        if (tracer != nullptr) {
+        if (sink != nullptr) {
           trace::TraceEvent ev;
           ev.kind = trace::TraceEventKind::kDrop;
           ev.reason = trace::TraceReason::kTimeout;
           ev.time_us = now;
           ev.request = req->meta.id;
           ev.value = static_cast<double>(req->meta.deadline_us);
-          tracer->OnEvent(ev);
+          sink->OnEvent(ev);
         }
         tracker.Transition(*req, RequestState::kDropped, now);
         latents.Forget(*req, now);
@@ -130,8 +153,6 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
   // today; the flag makes any future path that does fail loudly.
   std::vector<Request*> schedulable;
   RoundPlan plan;
-  // The round's audit payload, refilled in place like the plan.
-  std::vector<audit::AssignmentAudit> round_audit;
   bool dispatching = false;
   auto invoke_scheduler = [&]() {
     TETRI_CHECK_MSG(!dispatching,
@@ -156,19 +177,24 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
     plan_clock.Stop();
     ++result.num_scheduler_calls;
 
-    if (auditor != nullptr) {
-      audit::RoundAudit ra;
-      ra.now = now;
-      ra.round_end = ctx.round_end;
-      ra.free_gpus = ctx.free_gpus;
-      ra.all_gpus = topology_->all_gpus();
-      round_audit.clear();
+    if (sink != nullptr) {
+      trace::TraceEvent ev;
+      ev.kind = trace::TraceEventKind::kRoundPlan;
+      ev.time_us = now;
+      ev.dur_us = ctx.round_end - now;
+      ev.mask = ctx.free_gpus;
+      ev.steps = static_cast<std::int32_t>(plan.assignments.size());
+      ev.value = static_cast<double>(topology_->all_gpus());
+      sink->OnEvent(ev);
       for (const Assignment& a : plan.assignments) {
-        round_audit.push_back({a.mask, static_cast<int>(a.requests.size()),
-                               a.max_steps});
+        trace::TraceEvent assigned;
+        assigned.kind = trace::TraceEventKind::kRoundAssignment;
+        assigned.time_us = now;
+        assigned.mask = a.mask;
+        assigned.steps = a.max_steps;
+        assigned.batch = static_cast<std::int32_t>(a.requests.size());
+        sink->OnEvent(assigned);
       }
-      ra.assignments = round_audit;
-      auditor->OnRoundPlan(ra);
     }
 
     GpuMask used = 0;
@@ -196,15 +222,6 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
   auto arrive = [&](std::size_t i) {
     const workload::TraceRequest& req = arrivals[i];
     tracker.Admit(req);
-    if (tracer != nullptr) {
-      trace::TraceEvent ev;
-      ev.kind = trace::TraceEventKind::kAdmit;
-      ev.time_us = req.arrival_us;
-      ev.request = req.id;
-      ev.steps = req.num_steps;
-      ev.value = static_cast<double>(req.deadline_us - req.arrival_us);
-      tracer->OnEvent(ev);
-    }
     if (round_based) return;
     if (i + 1 < arrivals.size() &&
         arrivals[i + 1].arrival_us == req.arrival_us) {
@@ -272,8 +289,7 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
     rc.trace = &trace;
     rc.topology = topology_;
     rc.table = &table_;
-    rc.auditor = auditor;
-    rc.trace_sink = tracer;
+    rc.trace_sink = sink;
     rc.drop_timeout_factor = config_.drop_timeout_factor;
     config_.on_run_setup(rc);
   }
@@ -287,26 +303,25 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
   tracker.Schedulable(simulator.Now(), &schedulable);
   for (Request* req : schedulable) {
     req->drop_reason = metrics::DropReason::kInfeasible;
-    if (tracer != nullptr) {
+    if (sink != nullptr) {
       trace::TraceEvent ev;
       ev.kind = trace::TraceEventKind::kDrop;
       ev.reason = trace::TraceReason::kDeadlineInfeasible;
       ev.time_us = simulator.Now();
       ev.request = req->meta.id;
       ev.value = static_cast<double>(req->meta.deadline_us);
-      tracer->OnEvent(ev);
+      sink->OnEvent(ev);
     }
     tracker.Transition(*req, RequestState::kDropped, simulator.Now());
     latents.Forget(*req, simulator.Now());
   }
-  if (auditor != nullptr) auditor->OnRunEnd(simulator.Now());
-  if (tracer != nullptr) {
+  if (sink != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::TraceEventKind::kRunEnd;
     ev.time_us = simulator.Now();
-    tracer->OnEvent(ev);
-    scheduler->set_trace(nullptr);
+    sink->OnEvent(ev);
   }
+  if (tracer != nullptr) scheduler->set_trace(nullptr);
 
   const double us_per_tick = plan_clock.UsPerTick();
   result.scheduler_wall_us_total =

@@ -17,13 +17,16 @@
 #include <memory>
 #include <string>
 
-#include "audit/audit.h"
 #include "costmodel/latency_table.h"
 #include "metrics/metrics.h"
 #include "serving/scheduler.h"
 #include "serving/timeline.h"
 #include "trace/sink.h"
 #include "workload/trace.h"
+
+namespace tetri::audit {
+class Auditor;
+}  // namespace tetri::audit
 
 namespace tetri::sim {
 class Simulator;
@@ -50,10 +53,9 @@ struct RunContext {
   const workload::Trace* trace = nullptr;
   const cluster::Topology* topology = nullptr;
   const costmodel::LatencyTable* table = nullptr;
-  /** The run's auditor; null when unaudited. */
-  audit::Auditor* auditor = nullptr;
-  /** The run's trace sink; null when untraced. Chaos emits its
-   * degrade/drop decision events here. */
+  /** The run's observer (trace sink, auditor, or both); null when
+   * neither is set. Chaos emits its degrade/drop decision events
+   * here. */
   trace::TraceSink* trace_sink = nullptr;
   /** Serving-loop drop policy, for deadline-aware retry decisions. */
   double drop_timeout_factor = 10.0;
@@ -76,10 +78,12 @@ struct ServingConfig {
   /** Record the full execution timeline (Gantt data) in the result. */
   bool record_timeline = false;
   /**
-   * External auditor wired into every component of the run (nullable,
-   * not owned). Install the checkers you want before Run() and use a
-   * fresh auditor per run — checker state (busy sets, lifecycle maps)
-   * is per-run. When null and the build sets -DTETRI_AUDIT, Run()
+   * External auditor (nullable, not owned): a trace sink whose
+   * checkers read the run's event stream. It receives every event the
+   * trace sink below does except the scheduler's decision trace.
+   * Install the checkers you want before Run() and use a fresh
+   * auditor per run — checker state (busy sets, lifecycle maps) is
+   * per-run. When null and the build sets -DTETRI_AUDIT, Run()
    * installs the full checker suite internally and panics on any
    * violation, making every serving run self-verifying.
    */
@@ -87,11 +91,14 @@ struct ServingConfig {
   /**
    * External trace sink wired into every component of the run
    * (nullable, not owned): the simulator's event queue, the engine's
-   * execution spans, the scheduler's decision events, the serving
-   * loop's request lifecycle, and chaos fault/recovery events all
-   * emit here. Tracing is a pure observer — enabling it never changes
-   * the simulated schedule — and costs one pointer test per emission
-   * site when null (the default). Use a trace::Tracer to fan out to
+   * execution spans, the scheduler's decision events, the tracker's
+   * and latent manager's lifecycle events, the serving loop's round
+   * plans, and chaos fault/recovery events all emit here. Tracing is
+   * a pure observer — enabling it never changes the simulated
+   * schedule — and costs one pointer test per emission site when
+   * null (the default). With an auditor set too, each event goes to
+   * this sink first, then to the auditor, so the auditor changes
+   * nothing this sink sees. Use a trace::Tracer to fan out to
    * ring-buffer / Perfetto sinks.
    */
   trace::TraceSink* trace = nullptr;

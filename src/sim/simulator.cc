@@ -7,7 +7,6 @@ namespace tetri::sim {
 void
 Simulator::ScheduleAt(TimeUs at, EventFn fn)
 {
-  if (audit_ != nullptr) audit_->OnEventScheduled(now_, at);
   if (trace_ != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::TraceEventKind::kEventScheduled;
@@ -25,8 +24,8 @@ void
 Simulator::ScheduleAfter(TimeUs delay, EventFn fn)
 {
   TETRI_CHECK(delay >= 0);
-  // Route through ScheduleAt so the audit sink sees every scheduled
-  // event, not just the absolute-time ones.
+  // Route through ScheduleAt so the sink sees every scheduled event,
+  // not just the absolute-time ones.
   ScheduleAt(now_ + delay, fn);
 }
 
@@ -35,7 +34,6 @@ Simulator::Step()
 {
   if (queue_.empty()) return false;
   const auto [time, fn] = queue_.Pop();
-  if (audit_ != nullptr) audit_->OnEventFired(now_, time);
   if (trace_ != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::TraceEventKind::kEventFired;

@@ -12,7 +12,6 @@
 #ifndef TETRI_SIM_SIMULATOR_H
 #define TETRI_SIM_SIMULATOR_H
 
-#include "audit/sink.h"
 #include "sim/event_queue.h"
 #include "trace/sink.h"
 #include "util/types.h"
@@ -27,17 +26,10 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   /**
-   * Attach an audit sink notified of every schedule/fire (§audit).
-   * Nullable; the simulator does not take ownership. This is the
-   * registration point for invariant checkers: install them on an
-   * audit::Auditor and hand it to the simulator.
-   */
-  void set_audit(audit::AuditSink* sink) { audit_ = sink; }
-  audit::AuditSink* audit() const { return audit_; }
-
-  /**
-   * Attach a trace sink recording event-queue spans (kEventScheduled
-   * / kEventFired). Nullable, not owned; zero overhead when unset.
+   * Attach an observer of event-queue spans (kEventScheduled /
+   * kEventFired): a trace sink, or an audit::Auditor whose checkers
+   * hold the clock monotone. Nullable, not owned; one pointer test per
+   * push and per pop when unset.
    */
   void set_trace(trace::TraceSink* sink) { trace_ = sink; }
   trace::TraceSink* trace() const { return trace_; }
@@ -72,7 +64,6 @@ class Simulator {
   EventQueue queue_;
   TimeUs now_ = 0;
   std::uint64_t events_fired_ = 0;
-  audit::AuditSink* audit_ = nullptr;
   trace::TraceSink* trace_ = nullptr;
 };
 

@@ -223,7 +223,12 @@ WritePerfettoJson(const std::vector<TraceEvent>& events, int num_gpus,
           }
         }
         break;
+      case TraceEventKind::kRoundPlan:
+      case TraceEventKind::kRoundAssignment:
       case TraceEventKind::kMember:
+      case TraceEventKind::kTransition:
+      case TraceEventKind::kLatentAssign:
+      case TraceEventKind::kLatentRelease:
       case TraceEventKind::kEventScheduled:
       case TraceEventKind::kEventFired:
       case TraceEventKind::kRunEnd:

@@ -1,22 +1,25 @@
 /**
  * @file
- * Notification interface between the runtime and the trace layer.
+ * The one observer interface of the runtime.
  *
- * Components that want to be traceable (the scheduler, the execution
- * engine, the simulator, the serving loop, tetri::chaos) hold a
- * nullable `TraceSink*` and emit a flat TraceEvent at every observable
- * decision or span boundary. The trace library implements the sink —
- * a fan-out Tracer, an in-memory ring buffer with a query API, a
- * Chrome/Perfetto exporter — while production code pays one pointer
- * test per emission site when no sink is installed (the emitting block,
- * including event construction, is skipped entirely).
+ * Components that want to be observable (the scheduler, the execution
+ * engine, the simulator, the request tracker, the latent manager, the
+ * serving loop, the concurrent runtime, tetri::chaos) hold a nullable
+ * `TraceSink*` and emit a flat TraceEvent at every observable decision,
+ * state change or span boundary. Two libraries implement the sink: the
+ * trace library (a fan-out Tracer, an in-memory ring buffer with a
+ * query API, a Chrome/Perfetto exporter) and the audit library, whose
+ * invariant checkers read the same stream. Production code pays one
+ * pointer test per emission site when no sink is installed (the
+ * emitting block, including event construction, is skipped entirely).
  *
- * Like audit/sink.h, this header deliberately speaks in primitive
- * types (ids, masks, ints, one double) so that low-level modules such
- * as tetri::sim can include it without depending on higher layers, and
- * so events are trivially copyable, comparable, and serializable —
- * the byte-identical-replay determinism contract (DESIGN.md §10)
- * relies on all three.
+ * The header deliberately speaks in primitive types (ids, masks, ints,
+ * one double) so that low-level modules such as tetri::sim can include
+ * it without depending on higher layers. Enum-typed values (request
+ * states, resolutions) travel as their integer representation. Events
+ * are trivially copyable, comparable, and serializable — the
+ * byte-identical-replay determinism contract (DESIGN.md §10) relies on
+ * all three.
  */
 #ifndef TETRI_TRACE_SINK_H
 #define TETRI_TRACE_SINK_H
@@ -55,12 +58,23 @@ enum class TraceEventKind : std::uint8_t {
    * sets, value=pack utilization in [0,1]. */
   kRoundEnd,
 
+  // --- serving loop (the plan each scheduler returned) ---
+  /** A PlanInto call returned: dur=planning window (round end - now),
+   * mask=GPUs the scheduler was allowed to use, steps=#assignments,
+   * value=every GPU of the node (a GpuMask held exactly). One
+   * kRoundAssignment per assignment follows. */
+  kRoundPlan,
+  /** One assignment of the preceding kRoundPlan: mask=its GPU set,
+   * batch=#requests, steps=max steps. */
+  kRoundAssignment,
+
   // --- execution engine (spans) ---
   /** An assignment entered execution: dur=full span (transfer + exec),
    * degree, steps, batch, value=transfer+stall us. */
   kDispatch,
-  /** One batch member of a dispatch: request, steps=remaining before
-   * this round. */
+  /** One batch member of a dispatch: request, mask=the dispatch's
+   * GPU set, steps=remaining before this round, value=resolution
+   * (costmodel::Resolution as an int). */
   kMember,
   /** One denoising step: dur=step span, steps=step index within the
    * round. Steps begin after the transfer/stall prefix and the last
@@ -73,10 +87,13 @@ enum class TraceEventKind : std::uint8_t {
    * spans keep their planned extents; this event marks truncation. */
   kAbort,
 
-  // --- request lifecycle (serving loop + engine) ---
+  // --- request lifecycle (tracker, serving loop, engine, runtime) ---
   /** A request arrived: steps=total, value=slack_us at admission
-   * (deadline - now). */
+   * (deadline - now), so the deadline is time_us + value. */
   kAdmit,
+  /** A request changed state: degree=from state, steps=to state
+   * (serving::RequestState as an int). */
+  kTransition,
   /** A request was abandoned: reason kTimeout (serving-loop drop
    * policy), kRetryBudget / kDeadlineInfeasible (chaos retry policy),
    * value=deadline_us. */
@@ -86,6 +103,12 @@ enum class TraceEventKind : std::uint8_t {
   /** A request finished its last step: value=completion_us (includes
    * the sequential VAE decode). */
   kFinish,
+
+  // --- latent manager ---
+  /** A request's latent moves to (or is created on) mask. */
+  kLatentAssign,
+  /** A finished, dropped or cancelled request's latent is freed. */
+  kLatentRelease,
 
   // --- simulator (event-queue spans) ---
   /** An event was pushed: dur=at-now, value=at. */
@@ -100,7 +123,8 @@ enum class TraceEventKind : std::uint8_t {
   kStragglerStart,
   kStragglerEnd,
 
-  /** The serving loop drained every event. */
+  /** The serving loop drained every event. Keep it last: the audit
+   * layer sizes its per-kind routing table from it. */
   kRunEnd,
 };
 
@@ -161,7 +185,8 @@ struct TraceEvent {
   bool operator==(const TraceEvent&) const = default;
 };
 
-/** Receives trace events; implementations live in tetri::trace. */
+/** Receives trace events; implementations live in tetri::trace and
+ * tetri::audit. */
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

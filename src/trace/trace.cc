@@ -18,15 +18,20 @@ TraceEventKindName(TraceEventKind kind)
     case TraceEventKind::kShed: return "Shed";
     case TraceEventKind::kDegrade: return "Degrade";
     case TraceEventKind::kRoundEnd: return "RoundEnd";
+    case TraceEventKind::kRoundPlan: return "RoundPlan";
+    case TraceEventKind::kRoundAssignment: return "RoundAssignment";
     case TraceEventKind::kDispatch: return "Dispatch";
     case TraceEventKind::kMember: return "Member";
     case TraceEventKind::kStep: return "Step";
     case TraceEventKind::kComplete: return "Complete";
     case TraceEventKind::kAbort: return "Abort";
     case TraceEventKind::kAdmit: return "Admit";
+    case TraceEventKind::kTransition: return "Transition";
     case TraceEventKind::kDrop: return "Drop";
     case TraceEventKind::kCancel: return "Cancel";
     case TraceEventKind::kFinish: return "Finish";
+    case TraceEventKind::kLatentAssign: return "LatentAssign";
+    case TraceEventKind::kLatentRelease: return "LatentRelease";
     case TraceEventKind::kEventScheduled: return "EventScheduled";
     case TraceEventKind::kEventFired: return "EventFired";
     case TraceEventKind::kGpuFail: return "GpuFail";

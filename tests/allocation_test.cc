@@ -342,13 +342,18 @@ TEST_F(AllocationTest, AuditModeSweepIsViolationFree)
           for (const AllocationSegment& seg : plan.segments) {
             // Segments execute sequentially: audit each as its own
             // single-assignment round on an idle 8-GPU node.
-            const audit::AssignmentAudit assignment = {
-                cluster::FullMask(seg.degree), 1, seg.steps};
-            audit::RoundAudit round;
-            round.free_gpus = cluster::FullMask(8);
-            round.all_gpus = cluster::FullMask(8);
-            round.assignments = {&assignment, 1};
-            auditor.OnRoundPlan(round);
+            trace::TraceEvent round;
+            round.kind = trace::TraceEventKind::kRoundPlan;
+            round.mask = cluster::FullMask(8);
+            round.steps = 1;
+            round.value = static_cast<double>(cluster::FullMask(8));
+            auditor.OnEvent(round);
+            trace::TraceEvent assignment;
+            assignment.kind = trace::TraceEventKind::kRoundAssignment;
+            assignment.mask = cluster::FullMask(seg.degree);
+            assignment.batch = 1;
+            assignment.steps = seg.steps;
+            auditor.OnEvent(assignment);
           }
         }
       }

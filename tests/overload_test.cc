@@ -31,19 +31,23 @@ using metrics::Outcome;
 /** Records the order and deadlines of kDropped transitions. */
 class DropOrderRecorder final : public audit::Checker {
  public:
-  std::string_view name() const override { return "drop-order"; }
-
-  void OnRequestAdmitted(RequestId id, TimeUs /*arrival_us*/,
-                         TimeUs deadline_us, int /*num_steps*/) override
+  DropOrderRecorder()
+      : Checker({trace::TraceEventKind::kAdmit,
+                 trace::TraceEventKind::kTransition})
   {
-    deadlines_[id] = deadline_us;
   }
 
-  void OnRequestTransition(RequestId id, int /*from*/, int to_state,
-                           TimeUs now) override
+  std::string_view name() const override { return "drop-order"; }
+
+  void OnEvent(const trace::TraceEvent& event) override
   {
-    if (to_state == static_cast<int>(RequestState::kDropped)) {
-      drops_.push_back({id, deadlines_.at(id), now});
+    if (event.kind == trace::TraceEventKind::kAdmit) {
+      // kAdmit carries the slack: the deadline is time + value.
+      deadlines_[event.request] =
+          event.time_us + static_cast<TimeUs>(event.value);
+    } else if (event.steps == static_cast<int>(RequestState::kDropped)) {
+      drops_.push_back(
+          {event.request, deadlines_.at(event.request), event.time_us});
     }
   }
 

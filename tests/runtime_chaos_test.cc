@@ -4,8 +4,9 @@
  * chaos schedule's replay contract, the drain invariant
  * (completed + dropped + failed == admitted) under crash/straggler/
  * abort/stall schedules, watchdog recovery (worker respawn, hung-task
- * requeue, planner-stall detection), the RuntimeConservationChecker,
- * and weighted-fair admission (DRR ratios, flood isolation).
+ * requeue, planner-stall detection), the request-conservation checker
+ * fed through the runtime's Tracer, and weighted-fair admission (DRR
+ * ratios, flood isolation).
  * Every suite name contains "Runtime" so `ctest -R Runtime` — and the
  * CI runtime-stress TSan matrix — selects these.
  */
@@ -28,6 +29,7 @@
 #include "runtime/fair_queue.h"
 #include "runtime/runtime.h"
 #include "runtime/runtime_chaos.h"
+#include "trace/trace.h"
 
 namespace tetri::runtime {
 namespace {
@@ -134,7 +136,7 @@ TEST(RuntimeChaosScheduleTest, RuntimeExposesItsSchedule)
 /** One full chaos run; returns the final stats after Drain. */
 RuntimeStats
 RunChaosWorkload(std::uint64_t seed, int requests,
-                 audit::Auditor* auditor = nullptr)
+                 trace::TraceSink* trace = nullptr)
 {
   core::TetriScheduler scheduler(&F().table);
   RuntimeOptions options;
@@ -145,7 +147,7 @@ RunChaosWorkload(std::uint64_t seed, int requests,
   options.chaos.planner_stall_us = 1500.0;
   options.watchdog_interval_us = 500.0;
   options.backoff_base_us = 100.0;
-  options.audit = auditor;
+  options.trace = trace;
   ServingRuntime runtime(&scheduler, &F().topo, &F().table, options);
   for (int i = 0; i < requests; ++i) {
     EXPECT_EQ(runtime.Submit(i % 3, Resolution::k256, 3, kAmpleBudgetUs),
@@ -205,11 +207,17 @@ INSTANTIATE_TEST_SUITE_P(ChaosSeeds, RuntimeChaosDrainSweep,
 
 TEST(RuntimeChaosDrainTest, ConservationCheckerStaysClean)
 {
+  // A runtime is audited through its Tracer, which serialises the
+  // planner, worker and watchdog emissions. The planner emits the
+  // request lifecycle, so the lifecycle checker applies too.
   audit::Auditor auditor;
-  auto& checker = static_cast<audit::RuntimeConservationChecker&>(
+  auto& checker = static_cast<audit::RequestConservationChecker&>(
       auditor.AddChecker(
-          std::make_unique<audit::RuntimeConservationChecker>()));
-  const RuntimeStats stats = RunChaosWorkload(3, 48, &auditor);
+          std::make_unique<audit::RequestConservationChecker>()));
+  auditor.AddChecker(std::make_unique<audit::RequestLifecycleChecker>());
+  trace::Tracer tracer;
+  tracer.AddSink(&auditor);
+  const RuntimeStats stats = RunChaosWorkload(3, 48, &tracer);
   EXPECT_TRUE(auditor.clean()) << auditor.Summary();
   EXPECT_EQ(checker.admitted(), stats.admission.admitted);
   EXPECT_EQ(checker.completed(), stats.completed);

@@ -6,8 +6,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "audit/checkers.h"
 #include "baselines/edf.h"
 #include "baselines/fixed_sp.h"
+#include "chaos/chaos.h"
+#include "core/tetri_scheduler.h"
 #include "serving/engine.h"
 #include "serving/latent_manager.h"
 #include "serving/request_tracker.h"
@@ -562,6 +567,94 @@ TEST(ServingSystemTest, EventDrivenPlansOncePerArrivalAfterSameInstantAdmits)
   EXPECT_EQ(recorder.calls, expected);
   EXPECT_EQ(result.num_scheduler_calls, 4);
 }
+
+/** One run of the observer-purity matrix. */
+struct ObservedRun {
+  ServingResult result;
+  /** The trace sink's ToString stream; empty when untraced. */
+  std::string stream;
+};
+
+ObservedRun
+RunObserved(bool traced, bool audited, bool tetri)
+{
+  const auto model = ModelConfig::FluxDev();
+  const auto topo = Topology::H100Node();
+  chaos::ChaosConfig chaos_config;
+  chaos_config.seed = 4;
+  chaos_config.gpu_failures = 2;
+  chaos_config.stragglers = 1;
+  chaos_config.cancel_fraction = 0.1;
+  chaos_config.scripted.push_back({500000, 2, 1500000});
+  chaos::ChaosController chaos(chaos_config);
+
+  trace::RingBufferSink ring(std::size_t{1} << 20);
+  audit::Auditor auditor;
+  audit::InstallStandardCheckers(auditor);
+  ServingConfig config;
+  config.on_run_setup = chaos.Hook();
+  if (traced) config.trace = &ring;
+  if (audited) config.auditor = &auditor;
+  ServingSystem system(&topo, &model, config);
+  std::unique_ptr<Scheduler> scheduler;
+  if (tetri) {
+    scheduler = std::make_unique<core::TetriScheduler>(&system.table());
+  } else {
+    scheduler = std::make_unique<baselines::EdfScheduler>(&system.table());
+  }
+  workload::TraceSpec spec;
+  spec.num_requests = 40;
+  spec.slo_scale = 1.5;
+
+  ObservedRun run;
+  run.result = system.Run(scheduler.get(), workload::BuildTrace(spec));
+  EXPECT_EQ(ring.dropped(), 0u);
+  if (traced) run.stream = trace::ToString(ring.events());
+  EXPECT_TRUE(auditor.clean()) << auditor.Summary();
+  return run;
+}
+
+class ObserverPurityTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ObserverPurityTest, ObserversChangeNothing)
+{
+  // {no sink, trace only, auditor only, both} on one chaos trace. An
+  // attached sink turns on the engine's step-boundary path, which
+  // draws no extra randomness; the auditor rides the same stream.
+  const bool tetri = GetParam();
+  const ObservedRun none = RunObserved(false, false, tetri);
+  const ObservedRun traced = RunObserved(true, false, tetri);
+  const ObservedRun audited = RunObserved(false, true, tetri);
+  const ObservedRun both = RunObserved(true, true, tetri);
+  ASSERT_GT(none.result.recovery.gpu_failures, 0);
+  for (const ObservedRun* run : {&traced, &audited, &both}) {
+    ASSERT_EQ(run->result.records.size(), none.result.records.size());
+    for (std::size_t i = 0; i < none.result.records.size(); ++i) {
+      const metrics::RequestRecord& a = none.result.records[i];
+      const metrics::RequestRecord& b = run->result.records[i];
+      EXPECT_EQ(a.id, b.id);
+      EXPECT_EQ(a.completion_us, b.completion_us) << a.id;
+      EXPECT_EQ(a.outcome, b.outcome) << a.id;
+      EXPECT_EQ(a.drop_reason, b.drop_reason) << a.id;
+      EXPECT_EQ(a.steps_executed, b.steps_executed) << a.id;
+      EXPECT_EQ(a.failure_retries, b.failure_retries) << a.id;
+      EXPECT_EQ(a.gpu_time_us, b.gpu_time_us) << a.id;
+      EXPECT_EQ(a.degree_step_sum, b.degree_step_sum) << a.id;
+    }
+    EXPECT_EQ(run->result.makespan_us, none.result.makespan_us);
+    EXPECT_EQ(run->result.num_scheduler_calls,
+              none.result.num_scheduler_calls);
+  }
+  // Attaching the auditor changes nothing the trace sink sees.
+  EXPECT_FALSE(traced.stream.empty());
+  EXPECT_EQ(both.stream, traced.stream);
+}
+
+INSTANTIATE_TEST_SUITE_P(TetriAndEdf, ObserverPurityTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "TetriServe" : "EdfRssp";
+                         });
 
 }  // namespace
 }  // namespace tetri::serving

@@ -218,8 +218,8 @@ TEST(SimulatorAuditTest, AuditedCascadeIsViolationFree)
   Simulator sim;
   audit::Auditor auditor;
   audit::InstallStandardCheckers(auditor);
-  sim.set_audit(&auditor);
-  EXPECT_EQ(sim.audit(), &auditor);
+  sim.set_trace(&auditor);
+  EXPECT_EQ(sim.trace(), &auditor);
 
   int fired = 0;
   std::function<void()> cascade = [&]() {

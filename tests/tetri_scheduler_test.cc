@@ -714,18 +714,23 @@ TEST_P(PlanValiditySweep, StructurallyValid)
   // The same plan must also satisfy the audit-layer round invariants.
   audit::Auditor auditor;
   audit::InstallStandardCheckers(auditor);
-  std::vector<audit::AssignmentAudit> assignments;
+  trace::TraceEvent round;
+  round.kind = trace::TraceEventKind::kRoundPlan;
+  round.time_us = ctx.now;
+  round.dur_us = ctx.round_end - ctx.now;
+  round.mask = ctx.free_gpus;
+  round.steps = static_cast<std::int32_t>(plan.assignments.size());
+  round.value = static_cast<double>(topo.all_gpus());
+  auditor.OnEvent(round);
   for (const auto& a : plan.assignments) {
-    assignments.push_back(
-        {a.mask, static_cast<int>(a.requests.size()), a.max_steps});
+    trace::TraceEvent assignment;
+    assignment.kind = trace::TraceEventKind::kRoundAssignment;
+    assignment.time_us = ctx.now;
+    assignment.mask = a.mask;
+    assignment.batch = static_cast<std::int32_t>(a.requests.size());
+    assignment.steps = a.max_steps;
+    auditor.OnEvent(assignment);
   }
-  audit::RoundAudit round;
-  round.now = ctx.now;
-  round.round_end = ctx.round_end;
-  round.free_gpus = ctx.free_gpus;
-  round.all_gpus = topo.all_gpus();
-  round.assignments = assignments;
-  auditor.OnRoundPlan(round);
   EXPECT_TRUE(auditor.clean()) << auditor.Summary();
 }
 
